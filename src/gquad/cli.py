@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field, replace
 
 from .constructions import (
@@ -504,10 +505,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _DOMAIN_ERRORS = (ValueError, KeyError, OSError, NotCompatibleError,
-                  NotRegularPointError, TooLargeError, RuntimeError)
+                  NotRegularPointError, TooLargeError)
+
+# an internal invariant failed: a bug in gquad, never the user's input
+_INTERNAL_ERRORS = (RuntimeError, AssertionError)
 
 
 def run_cli(argv=None) -> int:
+    """Run one subcommand; the exit code is 0 on success, 1 for a user
+    error (one line on stderr), 2 for a usage error and 3 for an internal
+    error (with its traceback)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -520,6 +527,11 @@ def run_cli(argv=None) -> int:
         msg = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return 1
+    except _INTERNAL_ERRORS:
+        traceback.print_exc()
+        print("internal error: an invariant of gquad failed; "
+              "please report it with the traceback above", file=sys.stderr)
+        return 3
 
 
 def main() -> int:

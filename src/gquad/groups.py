@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .gf import _factorise
+from .textfile import read_int_file
 
 __all__ = [
     "Permutation",
@@ -34,6 +35,8 @@ __all__ = [
     "is_semiregular",
     "is_normal",
     "is_conjugate_subgroup",
+    "subgroup_key",
+    "subgroup_orbit",
     "is_isomorphic_small",
     "invariant_report",
     "report_json",
@@ -474,19 +477,6 @@ def _check_invariant(group: PermGroup, pts: np.ndarray):
             raise NotInvariantError("point set is not group-invariant")
 
 
-def _orbit_within(group: PermGroup, start: int) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        a = queue.popleft()
-        for g in group.gens:
-            b = int(g.arr[a])
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return seen
-
-
 def is_semiregular(group: PermGroup, on: Iterable[int],
                    order: int | None = None) -> bool:
     """True iff every point stabiliser is trivial on the given set."""
@@ -497,11 +487,10 @@ def is_semiregular(group: PermGroup, on: Iterable[int],
     n = group.order() if order is None else order
     remaining = set(pts.tolist())
     while remaining:
-        x = min(remaining)
-        orb = _orbit_within(group, x)
+        orb = group.orbit(min(remaining))
         if len(orb) != n:
             return False
-        remaining -= orb
+        remaining.difference_update(orb)
     return True
 
 
@@ -519,8 +508,7 @@ def is_regular(group: PermGroup, on: Iterable[int],
     n = group.order() if order is None else order
     if n != pts.size:
         return False
-    orb = _orbit_within(group, int(pts[0]))
-    return len(orb) == pts.size
+    return len(group.orbit(int(pts[0]))) == pts.size
 
 
 # ---------------------------------------------------------------------------
@@ -757,15 +745,26 @@ class FiniteGroup:
         return self._classes
 
     def cayley_table(self) -> np.ndarray:
+        """T[i, j] = index of elements[i] * elements[j].
+
+        With R[i, k] = index of elements[i] * gens[k], the closure first
+        reached element j as elements[i] * gens[k] at the first (i, k)
+        with R[i, k] = j, and i < j; so column j is one vectorised step
+        from column i: T[:, j] = R[T[:, i], k].
+        """
         if self._cayley is None:
             n = self.order
             if n > 4096:
                 raise TooLargeError(f"no Cayley table for order {n}")
-            t = np.empty((n, n), dtype=np.uint16)
-            for i, a in enumerate(self.elements):
-                for j, b in enumerate(self.elements):
-                    t[i, j] = self.index[a * b]
-            self._cayley = t
+            right = np.array([[self.index[e * g] for g in self.gens]
+                              for e in self.elements], dtype=np.uint16)
+            _, first = np.unique(right.ravel(), return_index=True)
+            parent, gen = np.divmod(first, max(1, len(self.gens)))
+            cols = np.empty((n, n), dtype=np.uint16)
+            cols[0] = np.arange(n)
+            for j in range(1, n):
+                cols[j] = right[cols[parent[j]], gen[j]]
+            self._cayley = np.ascontiguousarray(cols.T)
         return self._cayley
 
     def inverse_index(self, i: int) -> int:
@@ -843,11 +842,15 @@ def report_json(report: dict) -> str:
 # normality / conjugacy of subgroups
 # ---------------------------------------------------------------------------
 
-def is_normal(ambient: PermGroup, sub: PermGroup) -> bool:
-    """True iff the subgroup is normal in the ambient group."""
+def _check_inside(ambient: PermGroup, sub: PermGroup):
     for s in sub.gens:
         if not ambient.contains(s):
             raise ValueError("subgroup generator outside ambient group")
+
+
+def is_normal(ambient: PermGroup, sub: PermGroup) -> bool:
+    """True iff the subgroup is normal in the ambient group."""
+    _check_inside(ambient, sub)
     for g in ambient.gens:
         gi = g.inverse()
         for s in sub.gens:
@@ -856,63 +859,89 @@ def is_normal(ambient: PermGroup, sub: PermGroup) -> bool:
     return True
 
 
-def _subgroup_key(mat: np.ndarray) -> bytes:
-    return hashlib.sha256(mat.tobytes()).digest()
+def _conjugate_keyer(ambient: PermGroup, sub: PermGroup):
+    """key(u.arr, u^-1.arr) -> exact key of the conjugate sub^u.
+
+    Ambient elements are determined by their images of the ambient base
+    B, so sub^u is determined by the sorted rows of its base-image block
+    u.arr[stack[:, u^-1(B)]], each row packed exactly into int64 codes.
+    """
+    _check_inside(ambient, sub)
+    stack = np.stack([e.arr for e in sub.elements()])
+    base = np.asarray(ambient.base(), dtype=np.intp)
+    n = ambient.degree
+    width = 63 // n.bit_length()
+    chunks = max(1, -(-len(base) // width))
+    weights = np.zeros((len(base), chunks), dtype=np.int64)
+    for j in range(len(base)):
+        weights[j, j // width] = n ** (width - 1 - j % width)
+
+    def key(u_arr: np.ndarray, uinv_arr: np.ndarray) -> bytes:
+        codes = u_arr[stack[:, uinv_arr[base]]].astype(np.int64) @ weights
+        if chunks == 1:
+            return np.sort(codes, axis=0).tobytes()
+        return codes[np.lexsort(codes.T[::-1])].tobytes()
+
+    return key
 
 
-def _conjugate_stack(mat: np.ndarray, g: Permutation) -> np.ndarray:
-    gi = g.inverse()
-    conj = g.arr[mat[:, gi.arr]]
-    return np.unique(conj, axis=0)
+def subgroup_key(ambient: PermGroup, sub: PermGroup) -> bytes:
+    """Exact key of a subgroup of the ambient: equal iff equal subgroups."""
+    arr = np.arange(ambient.degree)
+    return _conjugate_keyer(ambient, sub)(arr, arr)
 
 
-def _element_stack(group: PermGroup) -> np.ndarray:
-    mat = np.stack([e.arr for e in group.elements()])
-    return np.unique(mat, axis=0)
+def subgroup_orbit(ambient: PermGroup, sub: PermGroup, clock=None):
+    """Walk the conjugation orbit of ``sub`` under the ambient generators.
+
+    Yields ``(key, v, first)`` for the start (v the identity) and for
+    every step sub^u -> sub^(u*g) of a depth-first walk: key is the
+    ``subgroup_key`` of sub^v, first the conjugator that first reached
+    it (v itself on a new conjugate).  Raises ``ValueError`` when sub is
+    not inside the ambient; ticks ``clock`` once per step.
+    """
+    key_of = _conjugate_keyer(ambient, sub)
+    ident = Permutation.identity(ambient.degree)
+    inverses = [g.inverse().arr for g in ambient.gens]
+    key0 = key_of(ident.arr, ident.arr)
+    first = {key0: ident}
+    yield key0, ident, ident
+    todo = [(ident, ident.arr)]
+    while todo:
+        u, uinv = todo.pop()
+        for g, ginv in zip(ambient.gens, inverses):
+            if clock is not None:
+                clock.tick()
+            v = u * g
+            vinv = uinv[ginv]
+            key = key_of(v.arr, vinv)
+            known = first.setdefault(key, v)
+            if known is v:
+                todo.append((v, vinv))
+            yield key, v, known
 
 
 def is_conjugate_subgroup(ambient: PermGroup, h1: PermGroup,
                           h2: PermGroup, *, budget: int = 100_000):
     """A conjugating element, or None, or UNKNOWN on budget exhaustion.
 
-    Walks the conjugation orbit of h1 under the ambient generators,
-    comparing canonical element-set keys.
+    Walks the conjugation orbit of h1 (``subgroup_orbit``) looking for
+    the key of h2; ``budget`` caps the number of conjugation steps.
     """
-    for h in (h1, h2):
-        for s in h.gens:
-            if not ambient.contains(s):
-                raise ValueError("subgroup generator outside ambient group")
+    _check_inside(ambient, h1)
+    target = subgroup_key(ambient, h2)
     if h1.order() != h2.order():
         return None
-    start = _element_stack(h1)
-    target_key = _subgroup_key(_element_stack(h2))
-    key0 = _subgroup_key(start)
-    if key0 == target_key:
-        return Permutation.identity(ambient.degree)
-    gens = list(ambient.gens) + [g.inverse() for g in ambient.gens]
-    seen = {key0}
-    queue = deque([(start, Permutation.identity(ambient.degree))])
-    explored = 0
-    while queue:
-        mat, word = queue.popleft()
-        explored += 1
-        if explored > budget:
+    for step, (key, w, first) in enumerate(subgroup_orbit(ambient, h1)):
+        if first is w and key == target:
+            # verify the witness for real, not just by key
+            wi = w.inverse()
+            for s in h1.gens:
+                if not h2.contains(wi * s * w):
+                    raise AssertionError("conjugate key mismatch")
+            return w
+        if step >= budget:
             return UNKNOWN
-        for g in gens:
-            nxt = _conjugate_stack(mat, g)
-            key = _subgroup_key(nxt)
-            if key in seen:
-                continue
-            w = word * g
-            if key == target_key:
-                # verify the witness for real, not just by hash
-                wi = w.inverse()
-                for s in h1.gens:
-                    if not h2.contains(wi * s * w):
-                        raise AssertionError("hash collision in fusion")
-                return w
-            seen.add(key)
-            queue.append((nxt, w))
     return None
 
 
@@ -1054,15 +1083,12 @@ def save_group(path, group: PermGroup):
 
 
 def load_group(path) -> PermGroup:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "GRP":
-            raise ValueError("not a GRP file")
-        degree, ngens = int(header[1]), int(header[2])
-        gens = []
-        for _ in range(ngens):
-            images = [int(tok) for tok in fh.readline().split()]
-            if len(images) != degree:
-                raise ValueError("generator row has wrong length")
+    (degree, _), rows = read_int_file(path, "GRP", 2, lambda h: h[1],
+                                      lambda h: h[0])
+    gens = []
+    for no, images in enumerate(rows, start=2):
+        try:
             gens.append(Permutation(images))
+        except InvalidPermutationError as exc:
+            raise InvalidPermutationError(f"{path}, line {no}: {exc}") from None
     return PermGroup(degree, gens)

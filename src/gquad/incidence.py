@@ -25,6 +25,7 @@ import numpy as np
 from .gf import GF
 from .groups import PermGroup, Permutation, TooLargeError
 from .linalg import AlternatingForm, QuadraticForm, enumerate_singular
+from .textfile import read_int_file
 
 __all__ = [
     "Quadrangle",
@@ -555,14 +556,11 @@ def save_gq(path, gq: Quadrangle, extra: dict | None = None):
 
 
 def load_gq(path) -> Quadrangle:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 5 or header[0] != "GQ":
-            raise ValueError("not a GQ file")
-        n_points, n_lines, s, t = (int(x) for x in header[1:])
-        lines = []
-        for _ in range(n_lines):
-            lines.append(tuple(int(tok) for tok in fh.readline().split()))
+    (n_points, _, s, t), lines = read_int_file(
+        path, "GQ", 4, lambda h: h[1], lambda h: h[2] + 1)
+    for no, line in enumerate(lines, start=2):
+        if any(not 0 <= p < n_points for p in line):
+            raise ValueError(f"{path}, line {no}: point out of range")
     name = "GQ"
     try:
         with open(f"{path}.json") as fh:

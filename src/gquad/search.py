@@ -20,6 +20,7 @@ resulting table is sorted by invariant fingerprint so repeated runs emit
 byte-identical output.
 """
 
+import hashlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -29,18 +30,15 @@ from typing import Mapping
 import numpy as np
 
 from .groups import (
-    UNKNOWN,
     FiniteGroup,
     PermGroup,
     Permutation,
     TooLargeError,
-    _conjugate_stack,
-    _element_stack,
-    _subgroup_key,
     invariant_report,
-    is_conjugate_subgroup,
     is_isomorphic_small,
     is_regular,
+    subgroup_key,
+    subgroup_orbit,
 )
 
 __all__ = [
@@ -121,31 +119,16 @@ def normaliser_gens(ambient: PermGroup, sub: PermGroup, *,
     """
     if not sub.gens:
         return list(ambient.gens)
-    clock = clock or _Clock(None)
-    stack0 = _element_stack(sub)
-    key0 = _subgroup_key(stack0)
-    ident = Permutation.identity(ambient.degree)
-    transversal = {key0: ident}
-    queue = [(stack0, ident)]
     out: list[Permutation] = list(sub.gens)
     seen = {g.arr.tobytes() for g in out}
-    while queue:
-        stack, u = queue.pop()
-        for g in ambient.gens:
-            clock.tick()
-            nxt = _conjugate_stack(stack, g)
-            key = _subgroup_key(nxt)
-            v = u * g
-            known = transversal.get(key)
-            if known is None:
-                transversal[key] = v
-                queue.append((nxt, v))
-            else:
-                s = v * known.inverse()
-                b = s.arr.tobytes()
-                if not s.is_identity() and b not in seen:
-                    seen.add(b)
-                    out.append(s)
+    for _, v, first in subgroup_orbit(ambient, sub, clock):
+        if first is v:
+            continue
+        s = v * first.inverse()
+        b = s.arr.tobytes()
+        if not s.is_identity() and b not in seen:
+            seen.add(b)
+            out.append(s)
     return out
 
 
@@ -210,23 +193,31 @@ def _bfs_elements(group: PermGroup, clock: "_Clock"):
 # maximal subgroups of a p-group
 # ---------------------------------------------------------------------------
 
+def _greedy_gens(hf: FiniteGroup, pool, gens: list, size: int) -> list:
+    """Extend ``gens`` by pool elements outside the span so far, in pool
+    order, until the span has ``size`` elements."""
+    span = set(hf.subgroup_closure(gens))
+    for e in pool:
+        if len(span) == size:
+            break
+        if e not in span:
+            gens.append(e)
+            span = set(hf.subgroup_closure(gens))
+    return gens
+
+
 def _maximal_subgroups(h: PermGroup, p: int, clock: "_Clock") -> list[PermGroup]:
-    """All maximal subgroups: preimages of Frattini-quotient hyperplanes."""
+    """All maximal subgroups: preimages of Frattini-quotient hyperplanes,
+    each generated by a greedy generating set of Phi(H) and d-1 more
+    elements, all picked in the closure's element order."""
     hf = FiniteGroup.from_permgroup(h)
-    phi = hf.frattini()
-    phi_set = set(phi)
+    phi = set(hf.frattini())
+    phi_gens = _greedy_gens(hf, [e for e in hf.elements if e in phi], [],
+                            len(phi))
     # coset representatives mapping onto a basis of the elementary abelian
     # quotient H/Phi
-    basis: list[Permutation] = []
-    span = list(phi)
-    span_set = set(span)
-    for e in hf.elements:
-        if e not in span_set:
-            basis.append(e)
-            span = hf.subgroup_closure(set(span) | {e})
-            span_set = set(span)
-            if len(span) == hf.order:
-                break
+    basis = _greedy_gens(hf, hf.elements, list(phi_gens),
+                         hf.order)[len(phi_gens):]
     d = len(basis)
     if p ** d * len(phi) != hf.order:
         raise RuntimeError("Frattini quotient basis has the wrong size")
@@ -237,7 +228,7 @@ def _maximal_subgroups(h: PermGroup, p: int, clock: "_Clock") -> list[PermGroup]
         for rest in tail:
             c = (0,) * pivot + (1,) + rest
             clock.tick()
-            gens = list(phi)
+            gens = list(phi_gens)
             for i in range(d):
                 if i == pivot:
                     continue
@@ -392,7 +383,7 @@ def _descend(sylow: PermGroup, target: int, p: int, clock: "_Clock",
     leaves: list[PermGroup] = []
     leaf_keys = set()
     layer = [sylow]
-    layer_keys = {_subgroup_key(_element_stack(sylow))}
+    layer_keys = {subgroup_key(ambient, sylow)}
     try:
         while layer:
             nxt: list[PermGroup] = []
@@ -401,7 +392,7 @@ def _descend(sylow: PermGroup, target: int, p: int, clock: "_Clock",
                 for m in _maximal_subgroups(h, p, clock):
                     if not m.is_transitive(pts):
                         continue
-                    key = _subgroup_key(_element_stack(m))
+                    key = subgroup_key(ambient, m)
                     if m.order() == target:
                         if key not in leaf_keys:
                             leaf_keys.add(key)
@@ -413,7 +404,7 @@ def _descend(sylow: PermGroup, target: int, p: int, clock: "_Clock",
             # fuse conjugate internal nodes before descending further;
             # conjugate groups have conjugate subgroup lattices
             if len(nxt) > 1:
-                nxt = _fuse(ambient, nxt, clock, strict=False)
+                nxt, _ = _fuse(ambient, nxt, clock)
             layer = nxt
             layer_keys |= nxt_keys
     except _BudgetHit:
@@ -422,40 +413,28 @@ def _descend(sylow: PermGroup, target: int, p: int, clock: "_Clock",
     return leaves, []
 
 
-def _fuse(ambient: PermGroup, subs: list[PermGroup], clock: "_Clock",
-          *, strict: bool = True) -> list[PermGroup]:
-    """One representative per ambient-conjugacy class.
+def _fuse(ambient: PermGroup, subs: list[PermGroup], clock: "_Clock"):
+    """One representative per ambient-conjugacy class, and its orbit keys.
 
-    Groups with different invariant fingerprints are never conjugate, so
-    the pairwise tests only run within fingerprint buckets.
+    The first group of each class, in fingerprint-bucket order, is kept;
+    its conjugation orbit is walked once, and a later group is a
+    conjugate exactly when its key lies in a kept group's orbit.
     """
     buckets: dict[str, list[PermGroup]] = {}
-    order: list[str] = []
     for s in subs:
-        fp = invariant_report(s)["fingerprint"]
-        if fp not in buckets:
-            buckets[fp] = []
-            order.append(fp)
-        buckets[fp].append(s)
+        buckets.setdefault(invariant_report(s)["fingerprint"], []).append(s)
     reps: list[PermGroup] = []
-    for fp in order:
-        kept: list[PermGroup] = []
-        for s in buckets[fp]:
-            dup = False
-            for r in kept:
-                clock.tick()
-                res = is_conjugate_subgroup(ambient, s, r)
-                if res is UNKNOWN:
-                    if strict:
-                        raise _BudgetHit("conjugacy test budget exhausted")
-                    continue
-                if res is not None:
-                    dup = True
-                    break
-            if not dup:
-                kept.append(s)
-        reps.extend(kept)
-    return reps
+    orbits: list[set] = []
+    seen: set = set()
+    for bucket in buckets.values():
+        for s in bucket:
+            if subgroup_key(ambient, s) in seen:
+                continue
+            orbit = {key for key, _, _ in subgroup_orbit(ambient, s, clock)}
+            seen |= orbit
+            reps.append(s)
+            orbits.append(orbit)
+    return reps, orbits
 
 
 def _transversal_search(ambient: PermGroup, n: int, clock: "_Clock"):
@@ -526,6 +505,12 @@ def _transversal_search(ambient: PermGroup, n: int, clock: "_Clock"):
     return found
 
 
+def _sorted_rows_digest(group: PermGroup) -> bytes:
+    """sha256 of the sorted element rows: the class-order tie-break."""
+    rows = np.unique(np.stack([e.arr for e in group.elements()]), axis=0)
+    return hashlib.sha256(rows.tobytes()).digest()
+
+
 def enumerate_regular(gq, ambient: PermGroup, budget=None, *,
                       sylow: PermGroup | None = None,
                       templates: Mapping[str, PermGroup] | None = None,
@@ -569,7 +554,7 @@ def enumerate_regular(gq, ambient: PermGroup, budget=None, *,
                 if sylow.order() != _p_part(amb_order, p):
                     raise ValueError("given subgroup is not Sylow")
             leaves, _ = _descend(sylow, n, p, clock, ambient)
-            reps = _fuse(ambient, leaves, clock)
+            reps, orbits = _fuse(ambient, leaves, clock)
         except _BudgetHit as hit:
             complete = False
             if isinstance(hit.reason, tuple):
@@ -577,50 +562,38 @@ def enumerate_regular(gq, ambient: PermGroup, budget=None, *,
                 notes.append(f"budget exceeded: {reason}")
                 notes.append(f"{len(leaves)} regular subgroups found "
                              "before interruption; conjugacy fusion skipped")
-                reps = []
             else:
                 notes.append(f"budget exceeded: {hit.reason}")
-                reps = []
+            reps, orbits = [], []
     else:
         strategy = "transversal"
         try:
             subs = _transversal_search(ambient, n, clock)
-            reps = _fuse(ambient, subs, clock)
+            reps, orbits = _fuse(ambient, subs, clock)
         except _BudgetHit as hit:
             complete = False
             notes.append(f"budget exceeded: {hit.reason}")
-            reps = []
+            reps, orbits = [], []
 
+    # a template matches the classes whose conjugation orbit holds its key
+    tmpl_keys = {}
+    for name in sorted(templates or {}):
+        if templates[name].degree != n:
+            raise ValueError(f"template {name!r} degree mismatch")
+        tmpl_keys[name] = subgroup_key(ambient, templates[name])
     classes = []
-    for rep in reps:
+    for rep, orbit in zip(reps, orbits):
         if not is_regular(rep, list(range(n)), order=n):
             raise RuntimeError("candidate class representative not regular")
         inv = invariant_report(rep)
-        classes.append(RegularClass(rep=rep, class_id=0, invariants=inv,
-                                    description=describe_group(inv)))
-    classes.sort(key=lambda c: (
-        c.invariants["fingerprint"],
-        _subgroup_key(_element_stack(c.rep))))
+        classes.append(RegularClass(
+            rep=rep, class_id=0, invariants=inv,
+            description=describe_group(inv),
+            matches=[name for name, key in tmpl_keys.items() if key in orbit]))
+    classes.sort(key=lambda c: (c.invariants["fingerprint"],
+                                _sorted_rows_digest(c.rep)))
     for i, c in enumerate(classes):
         c.class_id = i
-
-    if templates:
-        tmpl_fp = {}
-        for name in sorted(templates):
-            t = templates[name]
-            if t.degree != n:
-                raise ValueError(f"template {name!r} degree mismatch")
-            tmpl_fp[name] = invariant_report(t)["fingerprint"]
-        for c in classes:
-            for name in sorted(templates):
-                if tmpl_fp[name] != c.invariants["fingerprint"]:
-                    continue
-                res = is_conjugate_subgroup(ambient, templates[name], c.rep)
-                if res is UNKNOWN:
-                    notes.append(f"template match {name!r} vs class "
-                                 f"{c.class_id} undecided within budget")
-                elif res is not None:
-                    c.matches.append(name)
 
     return RegularClassTable(
         gq_name=getattr(gq, "name", str(gq)),

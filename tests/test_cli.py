@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gquad
+import gquad.cli
 from gquad.cli import RunConfig, emit_class_count_table, resolve_config, run_cli
 from gquad.groups import invariant_report, load_group
 
@@ -165,6 +170,26 @@ def test_enumerate_rerun_identical_despite_workers(enum_tables, tmp_path,
     assert again.read_bytes() == out2.read_bytes()
 
 
+def test_enumerate_tables_identical_across_hash_seeds(workdir, enum_tables,
+                                                     tmp_path):
+    root, out2, out3, out5 = enum_tables
+    src = os.path.dirname(os.path.dirname(gquad.__file__))
+    tables = {}
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for q, gq in ((3, workdir / "w33x.gq"), (5, root / "w35x.gq")):
+            out = tmp_path / f"q{q}-seed{seed}.json"
+            done = subprocess.run(
+                [sys.executable, "-m", "gquad.cli", "enumerate-regular",
+                 "--gq", str(gq), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            tables.setdefault(q, []).append(out.read_bytes())
+    for q, (first, second) in tables.items():
+        assert first == second, f"q={q} table depends on the hash seed"
+
+
 def test_report_markdown_and_csv(enum_tables, capsys):
     root, out2, out3, out5 = enum_tables
     code, out, err = _run(capsys, "report", "--tables", str(out2),
@@ -253,6 +278,20 @@ def test_bad_env_is_domain_error(monkeypatch, capsys, tmp_path):
     code, out, err = _run(capsys, "report", "--tables")
     assert code == 1
     assert err.startswith("error: ValueError:")
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
+def test_internal_error_exits_3_with_traceback(workdir, capsys, monkeypatch,
+                                              exc):
+    def broken(*args, **kwargs):
+        raise exc("invariant broken")
+
+    monkeypatch.setattr(gquad.cli, "verify_gq", broken)
+    code, out, err = _run(capsys, "verify", "--gq", str(workdir / "w33x.gq"))
+    assert code == 3
+    assert "Traceback (most recent call last)" in err
+    assert f"{exc.__name__}: invariant broken" in err
+    assert not err.startswith("error: ")
 
 
 def test_usage_errors(capsys):

@@ -346,6 +346,32 @@ def test_element_orders_exponent():
     assert hist == {1: 1, 2: 9, 3: 8, 4: 6}
 
 
+def cayley_oracle(g: FiniteGroup) -> np.ndarray:
+    """The former N^2 double loop: the oracle for cayley_table."""
+    t = np.empty((g.order, g.order), dtype=np.uint16)
+    for i, a in enumerate(g.elements):
+        for j, b in enumerate(g.elements):
+            t[i, j] = g.index[a * b]
+    return t
+
+
+def test_cayley_table_matches_double_loop():
+    from gquad.constructions import (action_from_linear, build_derived_model,
+                                     elation_group, elation_gens, shear_gens,
+                                     unipotent_gens)
+    groups = [FiniteGroup.from_permgroup(sym(4)), heisenberg3()]
+    for q in (2, 3):
+        model = build_derived_model(GF.default(q))
+        for gens in (elation_gens, shear_gens, unipotent_gens):
+            perm = action_from_linear(model.field, gens(model.field),
+                                      model.gq)
+            groups.append(FiniteGroup.from_permgroup(perm))
+    groups.append(elation_group(GF.default(9)))
+    assert groups[-1].order == 729
+    for g in groups:
+        assert np.array_equal(g.cayley_table(), cayley_oracle(g))
+
+
 # -- normality and conjugacy -------------------------------------------------
 
 def test_is_normal():
@@ -464,3 +490,25 @@ def test_group_file_rejects_garbage(tmp_path):
     path.write_text("GRP 3 1\n0 1\n")
     with pytest.raises(ValueError):
         load_group(path)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("GRP 3 2\n1 2 0\n", 3),                  # truncated
+    ("GRP 3 1\n1 2 0\n0 2 1\n", 3),          # trailing row
+    ("GRP 3 2\n1 2 0\n0 1\n", 3),            # wrong arity
+    ("GRP 3 2\n1 2 0\n\n0 2 1\n", 3),        # blank row inside
+    ("GRP 3 1\n1 2 x\n", 2),                  # not an integer
+    ("GRP 3 1\n1 1 0\n", 2),                  # not a permutation
+    ("GRP 3\n1 2 0\n", 1),                    # short header
+])
+def test_group_file_errors_name_the_line(tmp_path, text, line):
+    path = tmp_path / "bad.grp"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"line {line}:"):
+        load_group(path)
+
+
+def test_group_file_allows_trailing_blank_lines(tmp_path):
+    path = tmp_path / "ok.grp"
+    path.write_text("GRP 3 1\n1 2 0\n\n\n")
+    assert load_group(path).order() == 3

@@ -248,3 +248,32 @@ def test_gq_file_bad_header(tmp_path):
     path.write_text("GX 1 0 1 1\n")
     with pytest.raises(ValueError):
         load_gq(path)
+
+
+def _edited_w32(tmp_path, edit):
+    path = tmp_path / "w32.gq"
+    save_gq(path, build_w3(GF.default(2)))
+    rows = path.read_text().splitlines()
+    path.write_text("\n".join(edit(rows)) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("edit, line", [
+    (lambda rows: rows[:-1], 16),                       # truncated
+    (lambda rows: rows[:8], 9),                         # cut mid-file
+    (lambda rows: rows + [rows[-1]], 17),               # padded
+    (lambda rows: rows + ["", "1 2 3"], 18),            # padded after gap
+    (lambda rows: rows[:4] + ["0 1"] + rows[5:], 5),    # wrong arity
+    (lambda rows: rows[:4] + [""] + rows[5:], 5),       # empty row
+    (lambda rows: rows[:6] + ["0 1 15"] + rows[7:], 7),  # point out of range
+    (lambda rows: rows[:2] + ["0 1 z"] + rows[3:], 3),  # not an integer
+])
+def test_gq_file_errors_name_the_line(tmp_path, edit, line):
+    path = _edited_w32(tmp_path, edit)
+    with pytest.raises(ValueError, match=f"line {line}:"):
+        load_gq(path)
+
+
+def test_gq_file_allows_trailing_blank_lines(tmp_path):
+    path = _edited_w32(tmp_path, lambda rows: rows + ["", ""])
+    assert load_gq(path).n_lines == 15

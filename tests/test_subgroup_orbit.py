@@ -1,0 +1,200 @@
+"""The conjugation-orbit walk against independent routes.
+
+``oracle_form`` is the canonical form the orbit walks used before the
+base-image key: the element rows of a subgroup, sorted and deduplicated
+by ``np.unique(axis=0)``.  It is kept here only, as the oracle for
+subgroup equality.  Normalisers and conjugacy are checked by brute force
+over every ambient element.
+"""
+
+import numpy as np
+import pytest
+
+from gquad.constructions import (
+    action_from_linear,
+    ambient_stabiliser,
+    build_derived_model,
+    elation_gens,
+    shear_gens,
+    unipotent_gens,
+)
+from gquad.gf import GF
+from gquad.groups import (
+    UNKNOWN,
+    PermGroup,
+    Permutation,
+    is_conjugate_subgroup,
+    subgroup_key,
+    subgroup_orbit,
+)
+from gquad.incidence import aut_incidence
+from gquad.search import (
+    SearchBudget,
+    _BudgetHit,
+    _Clock,
+    _maximal_subgroups,
+    normaliser_gens,
+)
+
+
+def oracle_form(group: PermGroup) -> bytes:
+    """The old sorted-row canonical form: the oracle for equal subgroups."""
+    rows = np.stack([e.arr for e in group.elements()])
+    return np.unique(rows, axis=0).tobytes()
+
+
+def _conjugate(group: PermGroup, v: Permutation) -> PermGroup:
+    vi = v.inverse()
+    return PermGroup(group.degree, [vi * s * v for s in group.gens])
+
+
+def _descent_subgroups(sylow: PermGroup, p: int, target: int):
+    """The Sylow group and every subgroup its descent to order target
+    builds, transitive or not."""
+    out, layer = [sylow], [sylow]
+    while layer:
+        nxt = []
+        for h in layer:
+            for m in _maximal_subgroups(h, p, _Clock(None)):
+                out.append(m)
+                if m.order() > target:
+                    nxt.append(m)
+        layer = nxt
+    return out
+
+
+def _setting(q: int, ambient):
+    model = build_derived_model(GF.default(q))
+    k, gq = model.field, model.gq
+    e, p, t = (action_from_linear(k, gens(k), gq)
+               for gens in (elation_gens, shear_gens, unipotent_gens))
+    amb = ambient(model)
+    subs = _descent_subgroups(t, k.p, q ** 3) + [e, p]
+    return amb, e, t, subs
+
+
+@pytest.fixture(scope="module")
+def q2():
+    return _setting(2, lambda m: ambient_stabiliser(m.field, m.gq))
+
+
+@pytest.fixture(scope="module")
+def q3():
+    return _setting(3, lambda m: aut_incidence(m.gq))
+
+
+def _assert_bijection(pairs):
+    by_key, by_oracle = {}, {}
+    for key, form in pairs:
+        assert by_key.setdefault(key, form) == form
+        assert by_oracle.setdefault(form, key) == key
+
+
+@pytest.mark.parametrize("setting", ["q2", "q3"])
+def test_base_image_key_agrees_with_oracle(setting, request):
+    amb, e, t, subs = request.getfixturevalue(setting)
+    pairs = [(subgroup_key(amb, h), oracle_form(h)) for h in subs]
+    # E is one of the descent's maximal subgroups, built from other
+    # generators: equal groups must get equal keys
+    assert subgroup_key(amb, e) in [key for key, _ in pairs[:-2]]
+    for h in subs:
+        for step, (key, v, _) in enumerate(subgroup_orbit(amb, h)):
+            if step == 8:
+                break
+            pairs.append((key, oracle_form(_conjugate(h, v))))
+    _assert_bijection(pairs)
+    assert len({key for key, _ in pairs}) > len(subs) // 2
+
+
+@pytest.mark.parametrize("pairs, degree", [(16, 32), (8, 512)])
+def test_key_stays_exact_with_several_codes_per_row(pairs, degree):
+    # C2 wr S_k on 2k of the points: its base is longer than one int64
+    # code holds at this degree, so each row gets several codes
+    swap = Permutation.from_cycles(degree, [(0, 1)])
+    shift = Permutation.from_cycles(degree, [tuple(range(0, 2 * pairs, 2)),
+                                             tuple(range(1, 2 * pairs, 2))])
+    twist = Permutation.from_cycles(degree, [(0, 2), (1, 3)])
+    amb = PermGroup(degree, [swap, shift, twist])
+    assert len(amb.base()) > 63 // degree.bit_length()
+    subs = [PermGroup(degree, [Permutation.from_cycles(degree, cycles)])
+            for cycles in ([(0, 1), (2, 3)], [(0, 1)], [(0, 2), (1, 3)],
+                           [(0, 2, 4), (1, 3, 5)])]
+    found = []
+    for h in subs:
+        for step, (key, v, _) in enumerate(subgroup_orbit(amb, h)):
+            if step == 40:
+                break
+            found.append((key, oracle_form(_conjugate(h, v))))
+    _assert_bijection(found)
+
+
+def _brute_normaliser_order(amb: PermGroup, h: PermGroup) -> int:
+    """|{g in amb : h^g = h}|, testing every ambient element."""
+    members = {x.arr.tobytes() for x in h.elements()}
+    g = np.stack([x.arr for x in amb.elements()])
+    ginv = np.empty_like(g)
+    ginv[np.arange(len(g))[:, None], g] = np.arange(g.shape[1],
+                                                    dtype=g.dtype)
+    normalises = np.ones(len(g), dtype=bool)
+    for s in h.gens:
+        conj = np.take_along_axis(g, s.arr[ginv], axis=1)  # g^-1 s g
+        normalises &= np.array([row.tobytes() in members for row in conj])
+    return int(normalises.sum())
+
+
+def test_normaliser_order_matches_brute_force_q2(q2):
+    amb, e, t, subs = q2
+    for h in subs:
+        n = PermGroup(amb.degree, normaliser_gens(amb, h))
+        assert n.order() == _brute_normaliser_order(amb, h)
+
+
+def test_normaliser_order_matches_brute_force_q3(q3):
+    amb, e, t, subs = q3
+    for h in (e, t):
+        n = PermGroup(amb.degree, normaliser_gens(amb, h))
+        assert n.order() == _brute_normaliser_order(amb, h)
+
+
+def test_is_conjugate_subgroup_matches_brute_force_q2(q2):
+    amb, e, t, subs = q2
+    # conjugates by the ambient generators give pairs that are conjugate
+    # without being equal
+    subs = subs + [_conjugate(h, g) for h in subs for g in amb.gens]
+    forms = [oracle_form(h) for h in subs]
+    conjugates = [{oracle_form(_conjugate(h, g)) for g in amb.elements()}
+                  for h in subs]
+    proper_pairs = 0
+    for i, a in enumerate(subs):
+        for j, b in enumerate(subs):
+            w = is_conjugate_subgroup(amb, a, b)
+            assert w is not UNKNOWN
+            if forms[j] in conjugates[i]:
+                assert oracle_form(_conjugate(a, w)) == forms[j]
+                proper_pairs += forms[i] != forms[j]
+            else:
+                assert w is None
+    assert proper_pairs > 0
+
+
+def test_walk_rejects_subgroup_outside_ambient(q2):
+    amb, e, t, subs = q2
+    outside = next(Permutation.from_cycles(amb.degree, [(0, x)])
+                   for x in range(1, amb.degree)
+                   if not amb.contains(
+                       Permutation.from_cycles(amb.degree, [(0, x)])))
+    bad = PermGroup(amb.degree, [outside])
+    with pytest.raises(ValueError):
+        next(subgroup_orbit(amb, bad))
+    with pytest.raises(ValueError):
+        subgroup_key(amb, bad)
+    with pytest.raises(ValueError):
+        is_conjugate_subgroup(amb, bad, e)
+    with pytest.raises(ValueError):
+        is_conjugate_subgroup(amb, e, bad)
+
+
+def test_walk_ticks_the_callers_clock(q3):
+    amb, e, t, subs = q3
+    with pytest.raises(_BudgetHit):
+        normaliser_gens(amb, e, clock=_Clock(SearchBudget(nodes=3)))
