@@ -1,11 +1,9 @@
 """Command-line front end: build, derive, verify, enumerate, report.
 
-Configuration precedence is flags, then the GQ_WORKERS / GQ_BUDGET
-environment variables, then a plain key=value config file, then defaults.
-Every artifact is written deterministically so reruns with the same
-configuration are byte-identical; the search seed is recorded in report
-metadata even though the current engines are fully deterministic and
-never draw from it.
+Configuration precedence is flags, then the GQ_BUDGET environment
+variable, then a strict key=value config file, then defaults.  Every
+artifact is written deterministically, so reruns with the same
+configuration are byte-identical.
 """
 
 import argparse
@@ -62,17 +60,13 @@ __all__ = ["RunConfig", "resolve_config", "emit_class_count_table",
 
 @dataclass(frozen=True)
 class RunConfig:
-    workers: int = 1
     budget_seconds: float = 3600.0
     bound: int = 4096
     out_dir: str = "."
     formats: tuple = ("json",)
     moduli: dict = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("worker count must be at least 1")
         if self.budget_seconds <= 0:
             raise ValueError("budget must be positive")
         bad = [f for f in self.formats if f not in ("json", "md", "csv")]
@@ -91,17 +85,44 @@ def _parse_modulus(text: str) -> tuple:
                          "expected p^f=integer") from None
 
 
+def _parse_moduli(text: str) -> dict:
+    return dict(_parse_modulus(m) for m in text.split(",") if m)
+
+
+# config-file key -> (RunConfig field, value parser)
+_CONFIG_KEYS = {
+    "budget": ("budget_seconds", float),
+    "bound": ("bound", int),
+    "out_dir": ("out_dir", str),
+    "formats": ("formats", lambda text: tuple(text.split(","))),
+    "modulus": ("moduli", _parse_moduli),
+}
+
+
 def _read_config_file(path: str) -> dict:
+    """RunConfig updates from a key=value file.
+
+    Blank lines and lines starting with # are skipped.  A line without
+    '=', an unknown key or a bad value raises ``ValueError`` naming the
+    file and the 1-based line.
+    """
     out = {}
     with open(path) as fh:
-        for raw in fh:
+        for no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ValueError(f"bad config line {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            try:
+                if "=" not in line:
+                    raise ValueError(f"expected key=value, got {line!r}")
+                key, val = (part.strip() for part in line.split("=", 1))
+                if key not in _CONFIG_KEYS:
+                    raise ValueError(f"unknown key {key!r}")
+                name, parse = _CONFIG_KEYS[key]
+                out[name] = parse(val)
+                replace(RunConfig(), **{name: out[name]})  # validate
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {no}: {exc}") from None
     return out
 
 
@@ -111,34 +132,12 @@ def resolve_config(args: argparse.Namespace, env=None) -> RunConfig:
     cfg = RunConfig()
 
     if getattr(args, "config", None):
-        raw = _read_config_file(args.config)
-        updates = {}
-        if "workers" in raw:
-            updates["workers"] = int(raw["workers"])
-        if "budget" in raw:
-            updates["budget_seconds"] = float(raw["budget"])
-        if "bound" in raw:
-            updates["bound"] = int(raw["bound"])
-        if "out_dir" in raw:
-            updates["out_dir"] = raw["out_dir"]
-        if "formats" in raw:
-            updates["formats"] = tuple(raw["formats"].split(","))
-        if "seed" in raw:
-            updates["seed"] = int(raw["seed"])
-        if "modulus" in raw:
-            mods = dict(_parse_modulus(m)
-                        for m in raw["modulus"].split(",") if m)
-            updates["moduli"] = mods
-        cfg = replace(cfg, **updates)
+        cfg = replace(cfg, **_read_config_file(args.config))
 
-    if "GQ_WORKERS" in env:
-        cfg = replace(cfg, workers=int(env["GQ_WORKERS"]))
     if "GQ_BUDGET" in env:
         cfg = replace(cfg, budget_seconds=float(env["GQ_BUDGET"]))
 
     updates = {}
-    if getattr(args, "workers", None) is not None:
-        updates["workers"] = args.workers
     if getattr(args, "budget", None) is not None:
         updates["budget_seconds"] = args.budget
     if getattr(args, "bound", None) is not None:
@@ -147,8 +146,6 @@ def resolve_config(args: argparse.Namespace, env=None) -> RunConfig:
         updates["out_dir"] = args.out_dir
     if getattr(args, "formats", None) is not None:
         updates["formats"] = tuple(args.formats.split(","))
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
     if getattr(args, "modulus", None):
         updates["moduli"] = dict(_parse_modulus(m) for m in args.modulus)
     return replace(cfg, **updates)
@@ -364,7 +361,6 @@ def _cmd_enumerate_regular(args, cfg: RunConfig) -> int:
     classify_classes(table, bound=cfg.bound)
     payload = table.as_dict()
     payload["metadata"] = {
-        "seed": cfg.seed,
         "budget_seconds": cfg.budget_seconds,
         "bound": cfg.bound,
         "q": q,
@@ -411,11 +407,34 @@ def emit_class_count_table(payloads, fmt: str, *,
     return "\n".join(lines) + "\n"
 
 
+_TABLE_FIELDS = ("classes", "num_classes", "n_points", "complete")
+_CLASS_FIELDS = ("matches", "description")
+
+
+def _load_table(path: str) -> dict:
+    """An enumeration table JSON; ``ValueError`` names the file and the
+    missing field."""
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not an enumeration table")
+    for name in _TABLE_FIELDS:
+        if name not in payload:
+            raise ValueError(f"{path}: table has no {name!r} field")
+    if not isinstance(payload["classes"], list):
+        raise ValueError(f"{path}: 'classes' is not a list")
+    for i, cls in enumerate(payload["classes"]):
+        for name in _CLASS_FIELDS:
+            if not isinstance(cls, dict) or name not in cls:
+                raise ValueError(f"{path}: class {i} has no {name!r} field")
+    return payload
+
+
 def _cmd_report(args, cfg: RunConfig) -> int:
-    payloads = []
-    for path in args.tables:
-        with open(path) as fh:
-            payloads.append(json.load(fh))
+    payloads = [_load_table(path) for path in args.tables]
     fmt = args.format or ("md" if "md" in cfg.formats else cfg.formats[0])
     if fmt == "json":
         fmt = "md"
@@ -431,14 +450,12 @@ def _cmd_report(args, cfg: RunConfig) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--workers", type=int)
     common.add_argument("--budget", type=float,
                         help="search budget in seconds")
     common.add_argument("--bound", type=int,
                         help="largest order for full element listings")
     common.add_argument("--out-dir", dest="out_dir")
     common.add_argument("--formats", help="comma list of json,md,csv")
-    common.add_argument("--seed", type=int)
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--modulus", action="append",
                         help="field modulus override, p^f=integer")
@@ -504,11 +521,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DOMAIN_ERRORS = (ValueError, KeyError, OSError, NotCompatibleError,
+_DOMAIN_ERRORS = (ValueError, OSError, NotCompatibleError,
                   NotRegularPointError, TooLargeError)
 
 # an internal invariant failed: a bug in gquad, never the user's input
-_INTERNAL_ERRORS = (RuntimeError, AssertionError)
+_INTERNAL_ERRORS = (RuntimeError, AssertionError, KeyError)
 
 
 def run_cli(argv=None) -> int:

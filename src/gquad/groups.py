@@ -7,6 +7,13 @@ lazily; FiniteGroup is a plain element closure over anything with * and
 .inverse(), which is how matrix groups are handled when a permutation
 degree would be too wasteful.
 
+``element_closure`` is the one element-closure routine: PermGroup
+elements, FiniteGroup elements, subgroup closures and the search's lazy
+element walks all come from it.  Its order is a contract: the identity
+first, then out[i] * g for i ascending and g in generator order, each
+product kept only when new, so every element after the identity is an
+earlier element times a generator.
+
 Commutators are [g, h] = g^-1 h^-1 g h throughout.
 """
 
@@ -31,6 +38,7 @@ __all__ = [
     "NotInvariantError",
     "TooLargeError",
     "UNKNOWN",
+    "element_closure",
     "is_regular",
     "is_semiregular",
     "is_normal",
@@ -68,6 +76,30 @@ class _Unknown:
 
 
 UNKNOWN = _Unknown()
+
+
+def element_closure(identity, gens: Sequence, *, limit: int | None = None,
+                    clock=None):
+    """Lazily yield the group generated by ``gens``, in the closure order
+    of the module docstring.  Raises ``TooLargeError`` on a new element
+    past ``limit`` elements; ticks ``clock`` once per new element."""
+    out = [identity]
+    seen = {identity}
+    yield identity
+    i = 0
+    while i < len(out):
+        for g in gens:
+            h = out[i] * g
+            if h not in seen:
+                if limit is not None and len(out) >= limit:
+                    raise TooLargeError(f"closure exceeds limit {limit}")
+                if clock is not None:
+                    clock.tick()
+                seen.add(h)
+                out.append(h)
+                yield h
+        i += 1
+
 
 # transversals are stored as full permutation matrices up to this many
 # entries (orbit length x degree); beyond that, Schreier vectors
@@ -446,18 +478,8 @@ class PermGroup:
                 raise TooLargeError(
                     f"order {self.order()} exceeds element bound "
                     f"{self.element_bound}")
-            ident = Permutation.identity(self.degree)
-            out = [ident]
-            index = {ident}
-            i = 0
-            while i < len(out):
-                for g in self.gens:
-                    h = out[i] * g
-                    if h not in index:
-                        index.add(h)
-                        out.append(h)
-                i += 1
-            self._elements = out
+            self._elements = list(element_closure(
+                Permutation.identity(self.degree), self.gens))
         return self._elements
 
     def __repr__(self):
@@ -520,29 +542,15 @@ class FiniteGroup:
 
     def __init__(self, identity, generators: Iterable, *,
                  limit: int = 2**21):
-        gens = []
-        seen = {identity}
-        for g in generators:
-            if g not in seen:
-                seen.add(g)
-                gens.append(g)
+        gens = tuple(g for g in dict.fromkeys(generators) if g != identity)
+        self._setup(identity, gens,
+                    list(element_closure(identity, gens, limit=limit)))
+
+    def _setup(self, identity, gens: tuple, elements: list):
         self.identity = identity
-        self.gens = tuple(gens)
-        elems = [identity]
-        index = {identity: 0}
-        i = 0
-        while i < len(elems):
-            for g in gens:
-                h = elems[i] * g
-                if h not in index:
-                    if len(elems) >= limit:
-                        raise TooLargeError(
-                            f"closure exceeds limit {limit}")
-                    index[h] = len(elems)
-                    elems.append(h)
-            i += 1
-        self.elements = elems
-        self.index = index
+        self.gens = gens
+        self.elements = elements
+        self.index = {e: i for i, e in enumerate(elements)}
         self._orders: list[int] | None = None
         self._cayley: np.ndarray | None = None
         self._classes: list[list[int]] | None = None
@@ -606,24 +614,9 @@ class FiniteGroup:
 
     def subgroup_closure(self, seed: Iterable) -> list:
         """Subgroup generated by the seed, as elements of this group."""
-        out = [self.identity]
-        index = {self.identity}
-        gens = []
-        for e in seed:
-            if e not in index:
-                index.add(e)
-                out.append(e)
-                gens.append(e)
         # seeds from a finite group: closure under products suffices
-        i = 0
-        while i < len(out):
-            for g in gens:
-                h = out[i] * g
-                if h not in index:
-                    index.add(h)
-                    out.append(h)
-            i += 1
-        return out
+        return list(element_closure(self.identity,
+                                    list(dict.fromkeys(seed))))
 
     def normal_closure(self, seed: Iterable) -> list:
         current = self.subgroup_closure(seed)
@@ -772,8 +765,11 @@ class FiniteGroup:
 
     @classmethod
     def from_permgroup(cls, g: PermGroup) -> "FiniteGroup":
-        return cls(Permutation.identity(g.degree), g.gens,
-                   limit=g.element_bound)
+        """The same group over g's cached closure, not closed again."""
+        elements = g.elements()
+        group = cls.__new__(cls)
+        group._setup(elements[0], g.gens, elements)
+        return group
 
 
 def _as_finite_group(g) -> FiniteGroup:

@@ -34,6 +34,7 @@ from .groups import (
     PermGroup,
     Permutation,
     TooLargeError,
+    element_closure,
     invariant_report,
     is_isomorphic_small,
     is_regular,
@@ -156,7 +157,8 @@ def sylow_subgroup(ambient: PermGroup, p: int, *, budget=None) -> PermGroup:
         n_grp = PermGroup(ambient.degree, ngens,
                           element_bound=ambient.element_bound)
         found = None
-        for e in _bfs_elements(n_grp, clock):
+        for e in element_closure(Permutation.identity(ambient.degree),
+                                 n_grp.gens, clock=clock):
             o = e.order()
             cand = e ** (o // _p_part(o, p))
             if not cand.is_identity() and not h.contains(cand):
@@ -170,23 +172,6 @@ def sylow_subgroup(ambient: PermGroup, p: int, *, budget=None) -> PermGroup:
         if h.order() % p or full % h.order():
             raise RuntimeError("extension left the p-subgroup chain")
     return h
-
-
-def _bfs_elements(group: PermGroup, clock: "_Clock"):
-    ident = Permutation.identity(group.degree)
-    out = [ident]
-    index = {ident}
-    yield ident
-    i = 0
-    while i < len(out):
-        for g in group.gens:
-            h = out[i] * g
-            if h not in index:
-                clock.tick()
-                index.add(h)
-                out.append(h)
-                yield h
-        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -416,24 +401,20 @@ def _descend(sylow: PermGroup, target: int, p: int, clock: "_Clock",
 def _fuse(ambient: PermGroup, subs: list[PermGroup], clock: "_Clock"):
     """One representative per ambient-conjugacy class, and its orbit keys.
 
-    The first group of each class, in fingerprint-bucket order, is kept;
-    its conjugation orbit is walked once, and a later group is a
-    conjugate exactly when its key lies in a kept group's orbit.
+    The first group of each class, in input order, is kept; its
+    conjugation orbit is walked once, and a later group is a conjugate
+    exactly when its key lies in a kept group's orbit.
     """
-    buckets: dict[str, list[PermGroup]] = {}
-    for s in subs:
-        buckets.setdefault(invariant_report(s)["fingerprint"], []).append(s)
     reps: list[PermGroup] = []
     orbits: list[set] = []
     seen: set = set()
-    for bucket in buckets.values():
-        for s in bucket:
-            if subgroup_key(ambient, s) in seen:
-                continue
-            orbit = {key for key, _, _ in subgroup_orbit(ambient, s, clock)}
-            seen |= orbit
-            reps.append(s)
-            orbits.append(orbit)
+    for s in subs:
+        if subgroup_key(ambient, s) in seen:
+            continue
+        orbit = {key for key, _, _ in subgroup_orbit(ambient, s, clock)}
+        seen |= orbit
+        reps.append(s)
+        orbits.append(orbit)
     return reps, orbits
 
 
@@ -448,7 +429,7 @@ def _transversal_search(ambient: PermGroup, n: int, clock: "_Clock"):
     deg = ambient.degree
     ident = Permutation.identity(deg)
     by_image: dict[int, list[Permutation]] = {t: [] for t in range(1, deg)}
-    for e in _bfs_elements(ambient, clock):
+    for e in element_closure(ident, ambient.gens, clock=clock):
         if not e.is_identity() and not e.fixed_points():
             by_image[e.apply(0)].append(e)
     for t in by_image:

@@ -147,7 +147,6 @@ def test_enumerate_regular_q5_two_classes(enum_tables):
     payload = json.loads(out5.read_text())
     assert payload["num_classes"] == 2
     assert payload["complete"] is True
-    assert payload["metadata"]["seed"] == 0
     assert payload["metadata"]["q"] == 5
     matches = sorted(m for c in payload["classes"] for m in c["matches"])
     assert matches == ["E", "P"]
@@ -160,10 +159,8 @@ def test_enumerate_regular_q2_counts(enum_tables):
     assert payload["metadata"]["q"] == 2
 
 
-def test_enumerate_rerun_identical_despite_workers(enum_tables, tmp_path,
-                                                   monkeypatch):
+def test_enumerate_rerun_identical(enum_tables, tmp_path):
     root, out2, out3, out5 = enum_tables
-    monkeypatch.setenv("GQ_WORKERS", "4")
     again = tmp_path / "again.json"
     assert run_cli(["enumerate-regular", "--gq", str(root / "w32x.gq"),
                     "--out", str(again)]) == 0
@@ -224,6 +221,37 @@ def test_report_refuses_incomplete(tmp_path, capsys):
     assert "(partial)" in out
 
 
+@pytest.mark.parametrize("drop, field", [
+    (lambda t: t.pop("classes"), "'classes'"),
+    (lambda t: t.pop("num_classes"), "'num_classes'"),
+    (lambda t: t.pop("n_points"), "'n_points'"),
+    (lambda t: t.pop("complete"), "'complete'"),
+    (lambda t: t["classes"][1].pop("matches"), "class 1 has no 'matches'"),
+    (lambda t: t["classes"][0].pop("description"),
+     "class 0 has no 'description'"),
+])
+def test_report_rejects_malformed_table(enum_tables, tmp_path, capsys, drop,
+                                        field):
+    root, out2, out3, out5 = enum_tables
+    table = json.loads(out3.read_text())
+    drop(table)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(table))
+    code, out, err = _run(capsys, "report", "--tables", str(out2), str(path))
+    assert code == 1
+    assert err.startswith(f"error: ValueError: {path}: ")
+    assert field in err
+    assert err.count("\n") == 1
+
+
+def test_report_rejects_non_json(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    code, out, err = _run(capsys, "report", "--tables", str(path))
+    assert code == 1
+    assert err.startswith(f"error: ValueError: {path}: not JSON")
+
+
 def test_report_empty_input(capsys):
     code, out, err = _run(capsys, "report", "--tables")
     assert code == 0
@@ -247,26 +275,44 @@ def test_emit_table_sorts_by_q():
 
 def test_config_precedence(tmp_path, monkeypatch):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("budget=10\nworkers=2\nseed=7\n# comment\n")
+    cfgfile.write_text("budget=10\nbound=512\n# comment\n\n")
 
     import argparse
-    args = argparse.Namespace(config=str(cfgfile), workers=None, budget=None,
-                              bound=None, out_dir=None, formats=None,
-                              seed=None, modulus=None)
+    args = argparse.Namespace(config=str(cfgfile), budget=None, bound=None,
+                              out_dir=None, formats=None, modulus=None)
     cfg = resolve_config(args, env={})
-    assert cfg.budget_seconds == 10.0 and cfg.workers == 2 and cfg.seed == 7
+    assert cfg.budget_seconds == 10.0 and cfg.bound == 512
 
-    cfg = resolve_config(args, env={"GQ_BUDGET": "20", "GQ_WORKERS": "3"})
-    assert cfg.budget_seconds == 20.0 and cfg.workers == 3
+    cfg = resolve_config(args, env={"GQ_BUDGET": "20"})
+    assert cfg.budget_seconds == 20.0 and cfg.bound == 512
 
     args.budget = 30.0
+    args.bound = 64
     cfg = resolve_config(args, env={"GQ_BUDGET": "20"})
-    assert cfg.budget_seconds == 30.0
+    assert cfg.budget_seconds == 30.0 and cfg.bound == 64
+
+
+@pytest.mark.parametrize("text, line", [
+    ("budget=10\nworkers=2\n", 2),              # removed knob
+    ("# seed\n\nseed=7\n", 3),                   # removed knob
+    ("bound=64\nbudget 10\n", 2),                # no '='
+    ("budgte=10\n", 1),                           # unknown key
+    ("budget=ten\n", 1),                          # not a number
+    ("budget=0\n", 1),                            # out of range
+    ("bound=1.5\n", 1),                           # not an integer
+    ("formats=json,yaml\n", 1),                   # unknown format
+    ("modulus=2^2=7,nonsense\n", 1),              # bad modulus
+])
+def test_config_file_errors_name_the_line(tmp_path, capsys, text, line):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    code, out, err = _run(capsys, "report", "--tables", "--config",
+                          str(cfgfile))
+    assert code == 1
+    assert f"{cfgfile}, line {line}:" in err
 
 
 def test_config_invariants():
-    with pytest.raises(ValueError):
-        RunConfig(workers=0)
     with pytest.raises(ValueError):
         RunConfig(budget_seconds=0)
     with pytest.raises(ValueError):
@@ -274,13 +320,13 @@ def test_config_invariants():
 
 
 def test_bad_env_is_domain_error(monkeypatch, capsys, tmp_path):
-    monkeypatch.setenv("GQ_WORKERS", "0")
+    monkeypatch.setenv("GQ_BUDGET", "0")
     code, out, err = _run(capsys, "report", "--tables")
     assert code == 1
     assert err.startswith("error: ValueError:")
 
 
-@pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
+@pytest.mark.parametrize("exc", [RuntimeError, AssertionError, KeyError])
 def test_internal_error_exits_3_with_traceback(workdir, capsys, monkeypatch,
                                               exc):
     def broken(*args, **kwargs):
@@ -290,7 +336,8 @@ def test_internal_error_exits_3_with_traceback(workdir, capsys, monkeypatch,
     code, out, err = _run(capsys, "verify", "--gq", str(workdir / "w33x.gq"))
     assert code == 3
     assert "Traceback (most recent call last)" in err
-    assert f"{exc.__name__}: invariant broken" in err
+    # str(KeyError(m)) is m quoted
+    assert f"{exc.__name__}: {exc('invariant broken')}" in err
     assert not err.startswith("error: ")
 
 

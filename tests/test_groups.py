@@ -13,6 +13,7 @@ from gquad.groups import (
     PermGroup,
     Permutation,
     TooLargeError,
+    element_closure,
     invariant_report,
     is_conjugate_subgroup,
     is_isomorphic_small,
@@ -370,6 +371,131 @@ def test_cayley_table_matches_double_loop():
     assert groups[-1].order == 729
     for g in groups:
         assert np.array_equal(g.cayley_table(), cayley_oracle(g))
+
+
+# -- the closure contract ----------------------------------------------------
+
+def closure_oracle(identity, gens) -> list:
+    """The former breadth-first closure loop: the oracle for element_closure."""
+    out = [identity]
+    index = {identity}
+    i = 0
+    while i < len(out):
+        for g in gens:
+            h = out[i] * g
+            if h not in index:
+                index.add(h)
+                out.append(h)
+        i += 1
+    return out
+
+
+class CountingClock:
+    def __init__(self):
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+
+
+def _model_groups(q):
+    from gquad.constructions import (action_from_linear, build_derived_model,
+                                     elation_gens, shear_gens, unipotent_gens)
+    model = build_derived_model(GF.default(q))
+    return [action_from_linear(model.field, gens(model.field), model.gq)
+            for gens in (elation_gens, shear_gens, unipotent_gens)]
+
+
+def test_closure_order_matches_oracle_for_permutation_groups():
+    groups = [sym(4)] + _model_groups(2) + _model_groups(3)
+    for g in groups:
+        expected = closure_oracle(Permutation.identity(g.degree), g.gens)
+        assert g.elements() == expected
+        assert FiniteGroup.from_permgroup(g).elements == expected
+        # a fresh group, closed through FiniteGroup first
+        fresh = PermGroup(g.degree, g.gens)
+        assert FiniteGroup.from_permgroup(fresh).elements == expected
+
+
+def test_closure_order_matches_oracle_for_matrix_groups():
+    from gquad.constructions import elation_group, shear_group
+    for q in (4, 9):
+        for build in (elation_group, shear_group):
+            g = build(GF.default(q))
+            assert g.order == q ** 3
+            assert g.elements == closure_oracle(g.identity, g.gens)
+            assert all(g.index[e] == i for i, e in enumerate(g.elements))
+
+
+def test_lazy_closure_prefix_and_clock():
+    # the Sylow climb stops at the first useful element: it sees a prefix
+    # of the oracle order, and the clock counts only the new elements
+    s7 = sym(7)
+    oracle = closure_oracle(Permutation.identity(7), s7.gens)
+    clock = CountingClock()
+    walk = element_closure(Permutation.identity(7), s7.gens, clock=clock)
+    prefix = [e for _, e in zip(range(100), walk)]
+    assert prefix == oracle[:100]
+    assert clock.ticks == 99
+    # and it is lazy: ten elements of S12 cost ten elements, not 12!
+    s12 = sym(12)
+    clock = CountingClock()
+    walk = element_closure(Permutation.identity(12), s12.gens, clock=clock)
+    assert len([e for _, e in zip(range(10), walk)]) == 10
+    assert clock.ticks == 9
+
+
+def test_subgroup_closure_matches_oracle_as_a_set():
+    h = FiniteGroup.from_permgroup(_model_groups(3)[2])
+    ident = h.identity
+    seeds = [[], [ident], h.elements[5:8], h.elements[7:4:-1] + [ident],
+             h.derived_subgroup(), [h.elements[3]] * 3,
+             h.elements[40:45]]
+    for seed in seeds:
+        got = h.subgroup_closure(seed)
+        assert len(got) == len(set(got))
+        assert set(got) == set(closure_oracle(ident, seed))
+
+
+def test_closure_limits_raise():
+    s5 = sym(5)
+    ident = Permutation.identity(5)
+    assert len(list(element_closure(ident, s5.gens, limit=120))) == 120
+    with pytest.raises(TooLargeError):
+        list(element_closure(ident, s5.gens, limit=119))
+    with pytest.raises(TooLargeError):
+        FiniteGroup(ident, s5.gens, limit=119)
+    small = PermGroup(5, s5.gens, element_bound=119)
+    with pytest.raises(TooLargeError):
+        small.elements()
+    with pytest.raises(TooLargeError):
+        FiniteGroup.from_permgroup(small)
+
+
+def test_from_permgroup_does_not_close_again(monkeypatch):
+    import gquad.groups as groups
+    calls = []
+    real = groups.element_closure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "element_closure", counted)
+    g = _model_groups(2)[0]
+
+    def whole_group_closures():
+        # invariant_report closes subgroups too; count closures of g
+        return sum(1 for _, gens in calls if tuple(gens) == g.gens)
+
+    elements = g.elements()
+    assert whole_group_closures() == 1
+    a = FiniteGroup.from_permgroup(g)
+    b = FiniteGroup.from_permgroup(g)
+    invariant_report(g)
+    assert whole_group_closures() == 1
+    assert a.elements is elements and b.elements is elements
+    assert a.gens == g.gens and a.identity == Permutation.identity(g.degree)
 
 
 # -- normality and conjugacy -------------------------------------------------

@@ -3,6 +3,9 @@ from types import SimpleNamespace
 
 import pytest
 
+import gquad.groups
+import gquad.search
+
 from gquad.constructions import (
     action_from_linear,
     ambient_stabiliser,
@@ -217,6 +220,22 @@ def test_enumerate_odd_prime_two_classes(q):
     # abstractly isomorphic, just not conjugate
     table = classify_classes(table)
     assert len({c.iso_class for c in table.classes}) == 1
+
+
+def test_descend_and_fuse_never_report_invariants(q3, monkeypatch):
+    # orbit keys are exact, so the descent has no use for a fingerprint
+    model, e, p, t, amb = q3
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("invariant_report called during the descent")
+
+    monkeypatch.setattr(gquad.groups, "invariant_report", forbidden)
+    monkeypatch.setattr(gquad.search, "invariant_report", forbidden)
+    clock = gquad.search._Clock(None)
+    leaves, frontier = gquad.search._descend(t, 27, 3, clock, amb)
+    assert leaves and frontier == []
+    reps, orbits = gquad.search._fuse(amb, leaves, clock)
+    assert len(reps) == 2
 
 
 def test_enumerate_generic_sylow_agrees_q2(q2):
