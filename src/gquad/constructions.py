@@ -31,8 +31,9 @@ from .groups import (FiniteGroup, InvalidPermutationError, PermGroup,
                      Permutation, TooLargeError)
 from .incidence import Quadrangle, build_from_form, build_w3, gq_isomorphic, \
     payne_derive
-from .linalg import (Mat, QuadraticForm, SemilinearMap, mat_identity_mask,
-                     mat_mul_batch, normalise_point, rref)
+from .linalg import (Mat, QuadraticForm, SemilinearMap, code_lookup,
+                     line_rows, mat_identity_mask, mat_mul_batch,
+                     normalise_point, rref)
 
 __all__ = [
     "BASE_POINT",
@@ -445,9 +446,7 @@ def build_gu513() -> tuple[PermGroup, Quadrangle]:
     """
     k = GF(p=2, f=18)
     q1 = k.q - 1                       # 262143 = 513 * 511
-    exp_l, log_l = k._ensure_exp_log()
-    exp = np.asarray(exp_l, dtype=np.int64)
-    log = np.asarray(log_l, dtype=np.int64)
+    exp, log = k.exp_log_char2()
 
     def pow_all(v, n):
         out = exp[(log[v] * n) % q1]
@@ -456,46 +455,33 @@ def build_gu513() -> tuple[PermGroup, Quadrangle]:
     codes = np.arange(k.q, dtype=np.int64)
     norm = pow_all(codes, 513)                       # lies in GF(512)
     qval = norm ^ pow_all(norm, 8) ^ pow_all(norm, 64)   # trace to GF(8)
+    is_singular = qval == 0
 
     # GF(8)* is generated by zeta^step; the projective representative
     # of a vector is the least code in its scalar orbit
     step = q1 // 7
-    rep = codes.copy()
-    for j in range(1, 7):
-        m = rep.copy()
-        m[1:] = exp[(log[codes[1:]] + j * step) % q1]
-        m[0] = 0
-        np.minimum(rep, m, out=rep)
+    scalars = step * np.arange(7)
 
-    singular = codes[(qval == 0) & (codes > 0)]
-    pts = np.unique(rep[singular])
+    def multiples_of(v):
+        return exp[(log[v][:, None] + scalars) % q1]
+
+    pts = np.unique(multiples_of(codes[is_singular & (codes > 0)])
+                    .min(axis=1))
     n = int(pts.size)
-
-    look = np.full(k.q, -1, dtype=np.int64)
-    look[pts] = np.arange(n)
+    multiples = multiples_of(pts)
+    look = code_lookup(multiples, k.q)
 
     # for singular u, w the polarisation collapses to B(u,w) = Q(u+w),
     # and addition of codes is xor, so collinearity is one table gather
-    lines = []
-    for i in range(n):
-        u = int(pts[i])
-        mates = pts[qval[np.bitwise_xor(pts, u)] == 0]
-        mates = mates[mates != u]
-        umul = [int(exp[(log[u] + j * step) % q1]) for j in range(7)]
-        claimed = set()
-        for w in mates.tolist():
-            if w in claimed:
-                continue
-            cell = {w} | {int(rep[w ^ m]) for m in umul}
-            claimed |= cell
-            idxs = sorted(int(look[c]) for c in cell) + [i]
-            idxs.sort()
-            if idxs[0] == i:
-                lines.append(tuple(idxs))
+    def collinear(lo, hi):
+        return is_singular[pts[lo:hi, None] ^ pts[None, lo + 1:]]
 
-    gq = Quadrangle(n, lines, s=8, t=64,
-                    labels=[int(c) for c in pts],
-                    name="Q-(5,8) norm-trace model")
+    rows = line_rows(look, multiples, np.bitwise_xor, collinear)
+    # tuples straight from the columns: a throwaway list per row leaves
+    # freed lists spread over the object allocator's arenas, and a long
+    # run of builds then holds on to more memory
+    gq = Quadrangle(n, zip(*rows.T.tolist()), s=8, t=64,
+                    labels=pts.tolist(), name="Q-(5,8) norm-trace model")
 
     def perm_from_codes(img):
         t = look[img]
@@ -503,8 +489,8 @@ def build_gu513() -> tuple[PermGroup, Quadrangle]:
             raise AssertionError("map does not preserve the point set")
         return Permutation(t)
 
-    mult = perm_from_codes(rep[exp[(log[pts] + 511) % q1]])
-    frob = perm_from_codes(rep[exp[(log[pts] * 4) % q1]])
+    mult = perm_from_codes(exp[(log[pts] + 511) % q1])
+    frob = perm_from_codes(exp[(log[pts] * 4) % q1])
     return PermGroup(n, [mult, frob]), gq
 
 

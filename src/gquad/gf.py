@@ -405,7 +405,7 @@ class GF:
             self._exp, self._log = [1], [0, 0]
             return
         if self.p == 2:
-            exp, log = self._build_exp_log_char2()
+            exp, log = (t.tolist() for t in self.exp_log_char2())
         else:
             g = self._find_primitive()
             exp = [0] * (q - 1)
@@ -418,22 +418,30 @@ class GF:
             assert v == 1
         self._exp, self._log = exp, log
 
-    def _build_exp_log_char2(self):
-        # char-2 fast path: bit i of a code is the coefficient of x^i, so
-        # carry-less multiplication works on codes directly.
+    def exp_log_char2(self) -> tuple[np.ndarray, np.ndarray]:
+        """exp and log tables of a field of characteristic 2, as arrays.
+
+        exp[i] is g^i for the least primitive code g, log[exp[i]] is i
+        and log[0] is 0.  Bit i of a code is the coefficient of x^i, so
+        carry-less multiplication works on codes directly; past its
+        first block the table is filled by doubling,
+        exp[k:2k] = exp[:k] * g^k.
+        """
+        if self.p != 2 or self.q == 2:
+            raise ValueError("needs characteristic 2 and q > 2")
         f, q = self.f, self.q
         mod_int = sum(1 << i for i, c in enumerate(self.modulus) if c)
-        top = 1 << f
 
         def mul_int(a, b):
-            r = 0
+            # a * b for an int or int64 array a and an int b: b's bits
+            # select the shifts a * x^i, each reduced on the way
+            r = a ^ a
             while b:
                 if b & 1:
                     r ^= a
                 b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= mod_int
+                a = a << 1
+                a ^= (a >> f) * mod_int
             return r
 
         def pow_int(a, n):
@@ -449,14 +457,20 @@ class GF:
         primes = _factorise(order)
         gen = next(c for c in range(2, q)
                    if all(pow_int(c, order // r) != 1 for r in primes))
-        exp = [0] * order
-        log = [0] * q
-        v = 1
-        for i in range(order):
-            exp[i] = v
-            log[v] = i
-            v = mul_int(v, gen)
-        assert v == 1
+        # one power at a time up to 128 entries, so that every array is
+        # at least 1 KB: numpy caches freed smaller buffers, and a cached
+        # buffer left inside the heap keeps the memory around it
+        exp = np.ones(order, dtype=np.int64)
+        k = min(order, 128)
+        for i in range(1, k):
+            exp[i] = mul_int(int(exp[i - 1]), gen)
+        while k < order:
+            top = min(2 * k, order)
+            exp[k:top] = mul_int(exp[:top - k], pow_int(gen, k))
+            k = top
+        assert mul_int(int(exp[-1]), gen) == 1
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(order)
         return exp, log
 
     def _ensure_exp_log(self):

@@ -46,6 +46,7 @@ __all__ = [
     "subgroup_key",
     "subgroup_orbit",
     "is_isomorphic_small",
+    "find_isomorphism",
     "invariant_report",
     "report_json",
     "save_group",
@@ -968,7 +969,28 @@ def _generating_sequence(g: FiniteGroup, table: np.ndarray) -> list[int]:
 
 
 def is_isomorphic_small(g1, g2, *, max_order: int = 4096):
-    """An isomorphism as an element map {g1 elem: g2 elem}, or None."""
+    """An isomorphism as an element map {g1 elem: g2 elem}, or None.
+
+    Groups whose invariant fingerprints differ are rejected before the
+    search in ``find_isomorphism``.
+    """
+    a = _as_finite_group(g1)
+    b = _as_finite_group(g2)
+    if a.order == b.order and 1 < a.order <= max_order:
+        if (invariant_report(a)["fingerprint"]
+                != invariant_report(b)["fingerprint"]):
+            return None
+    return find_isomorphism(a, b, max_order=max_order)
+
+
+def find_isomorphism(g1, g2, *, max_order: int = 4096):
+    """An isomorphism as an element map {g1 elem: g2 elem}, or None.
+
+    The search alone, with no invariant report: for callers that have
+    already compared fingerprints.  Generators of g1 are mapped to
+    elements of equal order and class size in g2, and each choice is
+    extended through the Cayley tables until it closes or clashes.
+    """
     a = _as_finite_group(g1)
     b = _as_finite_group(g2)
     if a.order != b.order:
@@ -977,10 +999,6 @@ def is_isomorphic_small(g1, g2, *, max_order: int = 4096):
         raise TooLargeError(f"order {a.order} exceeds bound {max_order}")
     if a.order == 1:
         return {a.identity: b.identity}
-    ra = invariant_report(a)
-    rb = invariant_report(b)
-    if ra["fingerprint"] != rb["fingerprint"]:
-        return None
 
     ta = a.cayley_table()
     tb = b.cayley_table()

@@ -24,7 +24,12 @@ import numpy as np
 
 from .gf import GF
 from .groups import PermGroup, Permutation, TooLargeError
-from .linalg import AlternatingForm, QuadraticForm, enumerate_singular
+from .linalg import (
+    AlternatingForm,
+    QuadraticForm,
+    enumerate_singular,
+    singular_line_rows,
+)
 from .textfile import read_int_file
 
 __all__ = [
@@ -170,11 +175,16 @@ class Quadrangle:
 
 def build_from_form(field: GF, form, s: int, t: int,
                     name: str) -> Quadrangle:
-    """Point-line geometry of the singular points and lines of a form."""
+    """Point-line geometry of the singular points and lines of a form.
+
+    The points are the normalised singular vectors in ascending order,
+    numbered in that order and kept as labels.  The lines are the rows
+    of ``linalg.singular_line_rows``: each vector is looked up by its
+    integer code, and the collinear pairs are found a chunk of points at
+    a time, so no line is built as a subspace.
+    """
     points = [sub.basis[0] for sub in enumerate_singular(form, 1)]
-    index = {p: i for i, p in enumerate(points)}
-    lines = [tuple(index[p] for p in sub.points())
-             for sub in enumerate_singular(form, 2)]
+    lines = zip(*singular_line_rows(form, points).T.tolist())
     return Quadrangle(len(points), lines, s=s, t=t,
                       labels=points, name=name)
 

@@ -37,6 +37,9 @@ __all__ = [
     "normalise_point",
     "projective_points",
     "enumerate_singular",
+    "singular_line_rows",
+    "line_rows",
+    "code_lookup",
     "sp4_membership",
     "mat_mul_batch",
     "mat_identity_mask",
@@ -532,89 +535,166 @@ def sp4_membership(form: AlternatingForm, m: Mat) -> bool:
 # singular subspace enumeration
 # ---------------------------------------------------------------------------
 
+# cells of one chunk's (points x points) arrays in ``line_rows``: 2 MB
+# at eight bytes a cell, so the chunks add little to peak memory
+_CHUNK_CELLS = 1 << 18
+
+
+def _code_weights(q: int, n: int) -> np.ndarray:
+    return q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _code_digits(codes: np.ndarray, q: int, n: int) -> np.ndarray:
+    """The coordinates of each vector code, first coordinate first."""
+    return codes[:, None] // _code_weights(q, n) % q
+
+
+def _singular_points(form) -> list[tuple]:
+    # the normalised vectors are the codes whose leading nonzero digit
+    # is 1, i.e. the blocks [q^m, 2 q^m); concatenated they ascend
+    k = form.field
+    q, n = k.q, form.dim
+    codes = np.concatenate([np.arange(q**m, 2 * q**m, dtype=np.int64)
+                            for m in range(n)])
+    digits = _code_digits(codes, q, n)
+    if not isinstance(form, AlternatingForm):
+        mul, add = k.mul_table, k.add_table
+        val = np.zeros(len(codes), dtype=mul.dtype)
+        for i in range(n):
+            for j in range(n):
+                c = form.coeff.entry(i, j)
+                if c:
+                    val = add[val, mul[c, mul[digits[:, i], digits[:, j]]]]
+        digits = digits[val == 0]
+    return [tuple(v) for v in digits.tolist()]
+
+
+def code_lookup(multiples: np.ndarray, size: int) -> np.ndarray:
+    """Array from vector code to point index, -1 off the points.
+
+    multiples[i] holds the codes of the nonzero scalar multiples of point
+    i; each of them maps to i.
+    """
+    look = np.full(size, -1, dtype=np.int64)
+    look[multiples] = np.arange(len(multiples))[:, None]
+    return look
+
+
+def line_rows(look: np.ndarray, multiples: np.ndarray, add_codes,
+              collinear) -> np.ndarray:
+    """Every line through two collinear points, as sorted index rows.
+
+    The points are numbered in ascending order of their codes.
+    multiples[i] holds the codes of the q-1 nonzero scalar multiples of
+    point i, its own code first; look maps each of them back to i (see
+    ``code_lookup``), add_codes adds two code arrays as vectors, and
+    collinear(lo, hi) is the boolean matrix of "point i is collinear
+    with point j" for i in [lo, hi) and j > lo.  For each pair i < j the
+    other q-1 points i + c*j of its line come from one lookup; the pair
+    is kept only when j is the least of them, so each line is emitted
+    once, as the row (i, j, others ascending), and the rows ascend.
+    Chunks of rows keep every temporary near ``_CHUNK_CELLS`` cells.
+    """
+    n_pts, width = multiples.shape
+    codes = multiples[:, 0]
+    step = max(1, _CHUNK_CELLS // max(1, n_pts))
+    out = []
+    for lo in range(0, n_pts, step):
+        r, c = np.nonzero(collinear(lo, min(lo + step, n_pts)))
+        i, j = r + lo, c + lo + 1
+        later = j > i
+        i, j = i[later], j[later]
+        others = look[add_codes(codes[i, None], multiples[j])]
+        least = others.min(axis=1)
+        if (least < 0).any():
+            raise AssertionError("a point of a singular line is not singular")
+        first = j < least
+        out.append(np.column_stack(
+            (i[first], j[first], np.sort(others[first], axis=1))))
+    if not out:
+        return np.empty((0, width + 2), dtype=np.int64)
+    return np.concatenate(out)
+
+
+def singular_line_rows(form, points: Sequence[Sequence[int]]) -> np.ndarray:
+    """Totally isotropic/singular lines as sorted rows of point indices.
+
+    points are the singular points in ascending order, as from
+    ``enumerate_singular(form, 1)``.  A vector is coded as the integer
+    its coordinates spell in base q, first coordinate most significant,
+    so code order is point order; ``line_rows`` then finds the lines.
+    Two singular points span a singular line exactly when the polar
+    form vanishes on them.  That form is linear in the second point, so
+    for a chunk of first points it is tabulated over the codes of the
+    first half of the coordinates and over those of the second half,
+    and collinearity is a comparison of two table gathers.
+    """
+    k = form.field
+    q, n = k.q, form.dim
+    mul, add = k.mul_table, k.add_table
+    digits = np.asarray(points, dtype=np.int64).reshape(-1, n)
+    weights = _code_weights(q, n)
+    multiples = np.stack([mul[c][digits].astype(np.int64) @ weights
+                          for c in range(1, q)], axis=1)
+    look = code_lookup(multiples, q**n)
+    if k.p == 2:
+        add_codes = np.bitwise_xor      # coordinates are bit fields
+    else:
+        def add_codes(a, b):
+            out = np.zeros(np.broadcast_shapes(a.shape, b.shape),
+                           dtype=np.int64)
+            for w in weights.tolist():
+                out += add[a // w % q, b // w % q].astype(np.int64) * w
+            return out
+
+    # coefficients of the linear form w -> B(p, w) for every point p
+    gram = form.gram if isinstance(form, AlternatingForm) else form.polar_gram
+    coef = np.zeros(digits.shape, dtype=mul.dtype)
+    for i in range(n):
+        for j in range(n):
+            g = gram.entry(i, j)
+            if g:
+                coef[:, j] = add[coef[:, j], mul[digits[:, i], g]]
+    neg = np.asarray([k.neg(a) for a in range(q)], dtype=mul.dtype)
+    h = n // 2
+    codes = multiples[:, 0]
+    head, tail = codes // q**(n - h), codes % q**(n - h)
+    head_digits = _code_digits(np.arange(q**h), q, h)
+    tail_digits = _code_digits(np.arange(q**(n - h)), q, n - h)
+
+    def partial(cf, dg):
+        # (chunk, q^len) table of sum_t cf[:, t] * dg[:, t]
+        acc = np.zeros((len(cf), len(dg)), dtype=mul.dtype)
+        for t in range(dg.shape[1]):
+            acc = add[acc, mul[cf[:, t, None], dg[None, :, t]]]
+        return acc
+
+    def collinear(lo, hi):
+        cf = coef[lo:hi]
+        top = partial(cf[:, :h], head_digits)
+        bottom = neg[partial(cf[:, h:], tail_digits)]
+        return top[:, head[lo + 1:]] == bottom[:, tail[lo + 1:]]
+
+    return line_rows(look, multiples, add_codes, collinear)
+
+
 def enumerate_singular(form, dim: int) -> list[Subspace]:
     """Totally isotropic/singular subspaces of the given dimension.
 
     Ordered by their canonical echelon bases (ascending), each exactly
-    once.  dim 1 gives GQ points, dim 2 gives GQ lines.
+    once.  dim 1 gives GQ points, dim 2 gives GQ lines.  The points are
+    found by evaluating the form over the codes of all normalised
+    vectors at once, the lines by ``singular_line_rows``.
     """
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
     k = form.field
     n = form.dim
-    if isinstance(form, AlternatingForm):
-        pts = projective_points(k, n)  # beta is alternating: all isotropic
-    else:
-        pts = [v for v in projective_points(k, n) if form.eval(v) == 0]
+    pts = _singular_points(form)
     if dim == 1:
         return [Subspace(k, n, [v]) for v in pts]
-    if isinstance(form, AlternatingForm):
-        return _isotropic_lines_by_echelon(form)
-    return _singular_lines_by_pairs(form, pts)
-
-
-def _isotropic_lines_by_echelon(form: AlternatingForm) -> list[Subspace]:
-    # every 2x4 reduced echelon pattern, kept when beta vanishes on the
-    # two basis rows; already canonical and generated in sorted order
-    k = form.field
-    out = []
-    for p1 in range(4):
-        for p2 in range(p1 + 1, 4):
-            free1 = [j for j in range(p1 + 1, 4) if j != p2]
-            free2 = [j for j in range(p2 + 1, 4)]
-            nf = len(free1) + len(free2)
-            for vals in itertools.product(k.elements(), repeat=nf):
-                r1 = [0, 0, 0, 0]
-                r2 = [0, 0, 0, 0]
-                r1[p1] = 1
-                r2[p2] = 1
-                for j, c in zip(free1, vals):
-                    r1[j] = c
-                for j, c in zip(free2, vals[len(free1):]):
-                    r2[j] = c
-                if form.eval(r1, r2) == 0:
-                    out.append(Subspace(k, 4, [r1, r2]))
-    out.sort(key=lambda s: s.basis)
-    return out
-
-
-def _singular_lines_by_pairs(form: QuadraticForm,
-                             pts: list[tuple]) -> list[Subspace]:
-    # For each singular point u in ascending order, partition the later
-    # orthogonal singular points into the lines through u.  A line is
-    # recorded when u is its least point.
-    k = form.field
-    index = {v: i for i, v in enumerate(pts)}
-    arr = np.asarray(pts, dtype=np.int64)
-    mul_np = k.mul_table.astype(np.int64)
-    add_np = k.add_table.astype(np.int64)
-    add, mul, _, _ = k.scalar_tables()
-    out = []
-    for i, u in enumerate(pts):
-        w = form.polar_gram.apply(u)
-        prod = np.zeros(len(pts), dtype=np.int64)
-        for col, wc in enumerate(w):
-            if wc:
-                prod = add_np[prod, mul_np[arr[:, col], wc]]
-        mates = np.nonzero(prod[i + 1:] == 0)[0] + i + 1
-        claimed = set()
-        for j in mates:
-            j = int(j)
-            if j in claimed:
-                continue
-            v = pts[j]
-            ids = [i, j]
-            least = i
-            for c in range(1, k.q):
-                mc = mul[c]
-                t = index[normalise_point(
-                    k, tuple(add[a][mc[b]] for a, b in zip(u, v)))]
-                ids.append(t)
-                if t < least:
-                    least = t
-            claimed.update(x for x in ids if x > i)
-            if least == i:
-                out.append(Subspace(k, form.dim, [u, v]))
+    out = [Subspace(k, n, [pts[a], pts[b]])
+           for a, b in singular_line_rows(form, pts)[:, :2].tolist()]
     out.sort(key=lambda s: s.basis)
     return out
 

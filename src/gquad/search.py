@@ -35,8 +35,8 @@ from .groups import (
     Permutation,
     TooLargeError,
     element_closure,
+    find_isomorphism,
     invariant_report,
-    is_isomorphic_small,
     is_regular,
     subgroup_key,
     subgroup_orbit,
@@ -597,7 +597,8 @@ def classify_classes(table: RegularClassTable, *,
     Same fingerprint is necessary for isomorphism; within a fingerprint
     bucket the ids are settled by explicit isomorphism search for orders
     up to ``bound``.  Larger groups are grouped by fingerprint alone and
-    the table gains a note saying so.
+    the table gains a note saying so.  The fingerprints are the ones
+    each class carries, so no invariant report is run again.
     """
     by_fp: dict[str, list[RegularClass]] = {}
     for c in table.classes:
@@ -619,7 +620,7 @@ def classify_classes(table: RegularClassTable, *,
                     table.notes.append(note)
                 continue
             try:
-                iso = is_isomorphic_small(c.rep, other.rep)
+                iso = find_isomorphism(c.rep, other.rep)
             except TooLargeError:
                 iso = None
                 note = (f"isomorphism test skipped for classes "

@@ -7,6 +7,8 @@ import pytest
 
 import gquad
 import gquad.cli
+import gquad.groups
+import gquad.search
 from gquad.cli import RunConfig, emit_class_count_table, resolve_config, run_cli
 from gquad.groups import invariant_report, load_group
 
@@ -165,6 +167,55 @@ def test_enumerate_rerun_identical(enum_tables, tmp_path):
     assert run_cli(["enumerate-regular", "--gq", str(root / "w32x.gq"),
                     "--out", str(again)]) == 0
     assert again.read_bytes() == out2.read_bytes()
+
+
+def _enum_gq(workdir, enum_tables, q):
+    root = enum_tables[0]
+    return {2: root / "w32x.gq", 3: workdir / "w33x.gq",
+            5: root / "w35x.gq"}[q]
+
+
+@pytest.mark.parametrize("q, classes", [(2, 4), (5, 2)])
+def test_enumerate_reports_invariants_once_per_class(workdir, enum_tables,
+                                                     tmp_path, monkeypatch,
+                                                     q, classes):
+    # classify_classes reuses the report each class carries
+    real = gquad.groups.invariant_report
+    calls = []
+
+    def counting(group):
+        calls.append(group)
+        return real(group)
+
+    monkeypatch.setattr(gquad.groups, "invariant_report", counting)
+    monkeypatch.setattr(gquad.search, "invariant_report", counting)
+    out = tmp_path / "table.json"
+    assert run_cli(["enumerate-regular", "--gq",
+                    str(_enum_gq(workdir, enum_tables, q)),
+                    "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["num_classes"] == classes
+    assert len(calls) == classes
+
+
+@pytest.mark.parametrize("q, iso_classes", [
+    (2, [0, 1, 2, 2]), (3, [0, 1]), (5, [0, 0])])
+def test_classify_without_reports_keeps_the_table(workdir, enum_tables,
+                                                  tmp_path, monkeypatch, q,
+                                                  iso_classes):
+    # the fingerprinting is_isomorphic_small in place of the bare search
+    # gives the same iso_class values and the same bytes
+    gq = str(_enum_gq(workdir, enum_tables, q))
+    tables = []
+    for route in (None, gquad.groups.is_isomorphic_small):
+        if route is not None:
+            monkeypatch.setattr(gquad.search, "find_isomorphism", route)
+        out = tmp_path / f"table-{len(tables)}.json"
+        assert run_cli(["enumerate-regular", "--gq", gq,
+                        "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    classes = json.loads(tables[0])["classes"]
+    assert [c["iso_class"] for c in classes] == iso_classes
 
 
 def test_enumerate_tables_identical_across_hash_seeds(workdir, enum_tables,

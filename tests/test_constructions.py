@@ -291,6 +291,7 @@ def test_gu513_structure():
     group, gq = build_gu513()
     assert gq.n_points == 4617
     assert gq.n_lines == 33345
+    assert verify_gq(gq, 8, 64) == []
     assert group.order() == 4617
     assert is_regular(group, range(4617))
     mult, frob = group.gens

@@ -10,6 +10,7 @@ from gquad.gf import (
     NotIrreducibleError,
     triple_image,
     _DEFAULT_MODULI,
+    _factorise,
     _is_irreducible,
 )
 
@@ -259,6 +260,70 @@ def test_rabin_path_degree_18():
     assert k.pow(g, 18) == k.add(k.pow(g, 3), 1)
     # codes multiply carry-lessly: x^2 * x^3 = x^5
     assert k.mul(4, 8) == 32
+
+
+def exp_log_char2_oracle(field):
+    """The scalar exp/log loop: carry-less products, one power a step."""
+    f, q = field.f, field.q
+    mod_int = sum(1 << i for i, c in enumerate(field.modulus) if c)
+    top = 1 << f
+
+    def mul_int(a, b):
+        r = 0
+        while b:
+            if b & 1:
+                r ^= a
+            b >>= 1
+            a <<= 1
+            if a & top:
+                a ^= mod_int
+        return r
+
+    def pow_int(a, n):
+        r = 1
+        while n:
+            if n & 1:
+                r = mul_int(r, a)
+            a = mul_int(a, a)
+            n >>= 1
+        return r
+
+    order = q - 1
+    primes = _factorise(order)
+    gen = next(c for c in range(2, q)
+               if all(pow_int(c, order // r) != 1 for r in primes))
+    exp = [0] * order
+    log = [0] * q
+    v = 1
+    for i in range(order):
+        exp[i] = v
+        log[v] = i
+        v = mul_int(v, gen)
+    assert v == 1
+    return exp, log
+
+
+# (f, modulus or None for the default); GF(4) has one irreducible
+# quadratic, x^4+x^3+x^2+x+1 has a primitive element other than x
+@pytest.mark.parametrize("f, modulus", [
+    (2, None), (3, None), (3, (1, 0, 1, 1)), (4, None), (4, (1, 1, 1, 1, 1)),
+    (10, None), (10, (1,) + (0,) * 6 + (1, 0, 0, 1)),
+    (18, None), (18, (1,) + (0,) * 6 + (1,) + (0,) * 10 + (1,)),
+])
+def test_char2_exp_log_tables_match_scalar_loop(f, modulus):
+    k = GF(p=2, f=f, modulus=modulus)
+    if modulus is not None:
+        assert k.modulus != GF(p=2, f=f).modulus
+    exp, log = k._ensure_exp_log()
+    assert type(exp) is list and type(log) is list
+    assert type(exp[-1]) is int and type(log[-1]) is int
+    assert (exp, log) == exp_log_char2_oracle(k)
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_char2_exp_log_needs_characteristic_2_and_q_above_2(q):
+    with pytest.raises(ValueError):
+        GF(q).exp_log_char2()
 
 
 def test_non_prime_power_rejected():
