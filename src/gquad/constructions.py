@@ -683,13 +683,19 @@ def sylow_exponent(field: GF) -> int:
     if q > 9:
         raise TooLargeError(f"q^6 matrices get too big for q = {q}")
     count = q ** 6
-    mats = np.zeros((count, 4, 4), dtype=np.int64)
-    for d in range(4):
-        mats[:, d, d] = 1
-    idx = np.arange(count)
-    for pos, (i, j) in enumerate([(0, 1), (0, 2), (0, 3),
-                                  (1, 2), (1, 3), (2, 3)]):
-        mats[:, i, j] = (idx // q ** pos) % q
+    chunk = 1 << 16
+
+    def unitriangular(lo):
+        # the matrices lo, lo+1, ... of the chunk: above the diagonal,
+        # matrix number idx holds the base-q digits of idx
+        idx = np.arange(lo, min(lo + chunk, count))
+        mats = np.zeros((idx.size, 4, 4), dtype=np.int64)
+        for d in range(4):
+            mats[:, d, d] = 1
+        for pos, (i, j) in enumerate([(0, 1), (0, 2), (0, 3),
+                                      (1, 2), (1, 3), (2, 3)]):
+            mats[:, i, j] = (idx // q ** pos) % q
+        return mats
 
     def stack_pow(stack, e):
         out = None
@@ -705,9 +711,8 @@ def sylow_exponent(field: GF) -> int:
 
     all_p = True
     all_p2 = True
-    for lo in range(0, count, 1 << 16):
-        part = mats[lo:lo + (1 << 16)]
-        pw = stack_pow(part, p)
+    for lo in range(0, count, chunk):
+        pw = stack_pow(unitriangular(lo), p)
         if not mat_identity_mask(pw).all():
             all_p = False
             if not mat_identity_mask(stack_pow(pw, p)).all():

@@ -3,16 +3,23 @@
 Permutations map 0-based points through an image array; the product
 g * h applies g first, then h, so x^(g*h) = h(g(x)).  PermGroup keeps a
 deterministic stabiliser chain (base points chosen ascending) built
-lazily; FiniteGroup is a plain element closure over anything with * and
-.inverse(), which is how matrix groups are handled when a permutation
-degree would be too wasteful.
+lazily.  FiniteGroup is the element closure of anything with * and ==
+(matrix groups, where a permutation degree would be too wasteful, and
+small permutation groups) together with integer tables over the element
+indices: the right-multiplication table R[i, k] = index(elements[i] *
+gens[k]), filled by the only element products made after the closure,
+and the closure-tree word of each element, which multiplies index arrays
+by walks through R.  Element orders, the centre, conjugacy classes,
+subgroup and normal closures, the lower central series, power and
+Frattini subgroups and the Cayley table are all computed from them with
+numpy.
 
-``element_closure`` is the one element-closure routine: PermGroup
-elements, FiniteGroup elements, subgroup closures and the search's lazy
-element walks all come from it.  Its order is a contract: the identity
-first, then out[i] * g for i ascending and g in generator order, each
-product kept only when new, so every element after the identity is an
-earlier element times a generator.
+``element_closure`` is the one closure over element objects: PermGroup
+elements, FiniteGroup elements and the search's lazy element walks all
+come from it.  Its order is a contract: the identity first, then
+out[i] * g for i ascending and g in generator order, each product kept
+only when new, so every element after the identity is an earlier element
+times a generator.
 
 Commutators are [g, h] = g^-1 h^-1 g h throughout.
 """
@@ -535,11 +542,37 @@ def is_regular(group: PermGroup, on: Iterable[int],
 
 
 # ---------------------------------------------------------------------------
-# abstract finite groups (closure of elements with * and .inverse())
+# abstract finite groups: an element closure and integer tables over it
 # ---------------------------------------------------------------------------
 
+def _close(mask: np.ndarray, frontier: np.ndarray, perms: list) -> None:
+    """Close ``mask`` in place under the index permutations ``perms``,
+    walking outwards from ``frontier``."""
+    while perms and frontier.size:
+        images = np.concatenate([perm[frontier] for perm in perms])
+        frontier = np.unique(images[~mask[images]])
+        mask[frontier] = True
+
+
 class FiniteGroup:
-    """Element closure of a finite group in deterministic BFS order."""
+    """A finite group as its element list and integer tables over it.
+
+    ``elements`` is the closure of the generators in the order of
+    ``element_closure``; element i is named by its index i, and
+    ``index`` maps an element back to it.  The one pass over element
+    objects after the closure is the right-multiplication table
+    R[i, k] = index(elements[i] * gens[k]) (n*d products, built on first
+    use); every invariant is computed from R with numpy.  The closure
+    first reached element j as an earlier element times a generator, so
+    the path from the identity in that closure tree is a word for j in
+    the generators, and ``mul`` multiplies index arrays by walking those
+    words through R.  From them come the inverses and the table of
+    conjugates x^g = g^-1 x g by each generator, which gives the centre,
+    the conjugacy classes and normal closures.  Subgroups are boolean
+    masks over the indices, closed by walking right-multiplication
+    permutations; the methods that return subgroups list their elements
+    in index order.
+    """
 
     def __init__(self, identity, generators: Iterable, *,
                  limit: int = 2**21):
@@ -552,6 +585,8 @@ class FiniteGroup:
         self.gens = gens
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
+        self._right: np.ndarray | None = None
+        self._rmul: dict[int, np.ndarray] = {}
         self._orders: list[int] | None = None
         self._cayley: np.ndarray | None = None
         self._classes: list[list[int]] | None = None
@@ -579,190 +614,293 @@ class FiniteGroup:
             k += 1
         return p, k
 
-    def element_order(self, e) -> int:
-        o = self.order
-        for r in sorted(set(_factorise(o))):
-            while o % r == 0 and self._pow(e, o // r) == self.identity:
-                o //= r
-        return o
+    # -- the index kernel -------------------------------------------------
 
-    def _pow(self, e, n: int):
-        out = self.identity
-        base = e
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+    def _tables(self) -> np.ndarray:
+        """R, built once together with the closure-tree words, the
+        inverses and the generator conjugation table."""
+        if self._right is not None:
+            return self._right
+        n, d = self.order, len(self.gens)
+        index = self.index
+        right = np.array([index[e * g] for e in self.elements
+                          for g in self.gens], dtype=np.intp).reshape(n, d)
+        # element j was first reached at the first (i, k) in row-major
+        # order with R[i, k] = j, as elements[i] * gens[k]
+        parent = np.zeros(n, dtype=np.intp)
+        gen = np.full(n, d, dtype=np.intp)
+        if n > 1:
+            _, first = np.unique(right.ravel(), return_index=True)
+            parent[1:], gen[1:] = np.divmod(first[1:], d)
+        # words[j, t]: the generator applied at step t on the way from the
+        # identity to j; shorter words are padded in front with column d
+        # of ``walk``, the identity
+        steps = []
+        node = np.arange(n)
+        while node.any():
+            steps.append(gen[node])
+            node = parent[node]
+        self._words = np.array(steps[::-1], dtype=np.intp).T.reshape(n, -1)
+        rows = np.arange(n, dtype=np.intp)
+        self._walk = np.hstack([right, rows[:, None]])
+        # back[:, k] undoes walk[:, k]: right multiplication by gens[k]^-1
+        back = np.empty_like(self._walk)
+        back[self._walk, np.arange(d + 1)] = rows[:, None]
+        # (g1 ... gm)^-1 = gm^-1 ... g1^-1, applied to the identity
+        inv = np.zeros(n, dtype=np.intp)
+        for t in range(self._words.shape[1] - 1, -1, -1):
+            inv = back[inv, self._words[:, t]]
+        self._inv = inv
+        self._tree = parent, gen
+        self._right = right
+        # conj[x, k] = index of gens[k]^-1 * x * gens[k]
+        self._conj = np.array(
+            [right[self.mul(inv[g], rows), k] for k, g in enumerate(right[0])],
+            dtype=np.intp).T.reshape(n, d)
+        return right
+
+    def mul(self, x, y) -> np.ndarray:
+        """Indices of elements[x] * elements[y], elementwise over
+        broadcastable index arrays: x is walked through the word of y."""
+        self._tables()
+        out = np.asarray(x, dtype=np.intp)
+        words = self._words[y]
+        for t in range(words.shape[-1]):
+            out = self._walk[out, words[..., t]]
         return out
+
+    def power(self, x, e: int) -> np.ndarray:
+        """Indices of elements[x] ** e for e >= 0, by repeated squaring."""
+        base = np.asarray(x, dtype=np.intp)
+        out = np.zeros_like(base)
+        while e:
+            if e & 1:
+                out = self.mul(out, base)
+            e >>= 1
+            if e:
+                base = self.mul(base, base)
+        return out
+
+    def inverse_index(self, i: int) -> int:
+        self._tables()
+        return int(self._inv[i])
+
+    def _right_perm(self, s: int) -> np.ndarray:
+        """Right multiplication by elements[s], as an index permutation."""
+        perm = self._rmul.get(s)
+        if perm is None:
+            perm = self._rmul[s] = self.mul(np.arange(self.order), s)
+        return perm
+
+    def span(self, seeds: Iterable[int], gens: Sequence[int] = ()):
+        """(mask, kept) for the subgroup generated by element indices.
+
+        mask marks the subgroup generated by ``gens`` and ``seeds``; kept
+        is ``gens`` followed by each seed outside the span of the
+        generators before it, in seed order.
+        """
+        mask = np.zeros(self.order, dtype=bool)
+        mask[0] = True
+        kept = [int(g) for g in gens]
+        perms = [self._right_perm(g) for g in kept]
+        _close(mask, np.zeros(1, dtype=np.intp), perms)
+        for s in seeds:
+            if not mask[s]:
+                kept.append(int(s))
+                perms.append(self._right_perm(int(s)))
+                _close(mask, np.flatnonzero(mask), perms)
+        return mask, kept
+
+    def _members(self, mask: np.ndarray) -> list:
+        return [self.elements[i] for i in np.flatnonzero(mask)]
+
+    def _indices(self, elems: Iterable) -> list[int]:
+        return [self.index[e] for e in dict.fromkeys(elems)]
+
+    # -- invariants -------------------------------------------------------
 
     def element_orders(self) -> list[int]:
         if self._orders is None:
-            self._orders = [self.element_order(e) for e in self.elements]
+            n = self.order
+            orders = np.ones(n, dtype=np.int64)
+            for r in _factorise(n):
+                r_part = 1
+                while n % (r_part * r) == 0:
+                    r_part *= r
+                # x^(n / r_part) has the r-part of x's order as its order
+                y = self.power(np.arange(n), n // r_part)
+                while True:
+                    live = y != 0
+                    if not live.any():
+                        break
+                    orders[live] *= r
+                    y = self.power(y, r)
+            self._orders = orders.tolist()
         return self._orders
+
+    def element_order(self, e) -> int:
+        return self.element_orders()[self.index[e]]
 
     def exponent(self) -> int:
         return math.lcm(*set(self.element_orders()))
 
     def is_abelian(self) -> bool:
-        return all(a * b == b * a
-                   for i, a in enumerate(self.gens)
-                   for b in self.gens[i + 1:])
+        right = self._tables()
+        # row 0 holds the generators' indices, so products[a, b] is the
+        # index of gens[a] * gens[b]
+        products = right[right[0]]
+        return bool((products == products.T).all())
+
+    def _centre_mask(self) -> np.ndarray:
+        self._tables()
+        return (self._conj == np.arange(self.order)[:, None]).all(axis=1)
 
     def centre(self) -> list:
-        return [e for e in self.elements
-                if all(e * g == g * e for g in self.gens)]
+        return self._members(self._centre_mask())
 
     def subgroup_closure(self, seed: Iterable) -> list:
         """Subgroup generated by the seed, as elements of this group."""
-        # seeds from a finite group: closure under products suffices
-        return list(element_closure(self.identity,
-                                    list(dict.fromkeys(seed))))
+        return self._members(self.span(self._indices(seed))[0])
+
+    def _normal_mask(self, seeds) -> np.ndarray:
+        self._tables()
+        mask, kept = self.span(seeds)
+        while True:
+            images = self._conj[mask].ravel()
+            new = np.unique(images[~mask[images]])
+            if not new.size:
+                return mask
+            mask, kept = self.span(new, kept)
 
     def normal_closure(self, seed: Iterable) -> list:
-        current = self.subgroup_closure(seed)
-        while True:
-            current_set = set(current)
-            new = []
-            for g in self.gens:
-                gi = g.inverse()
-                for e in current:
-                    c = gi * e * g
-                    if c not in current_set:
-                        new.append(c)
-                        current_set.add(c)
-            if not new:
-                return current
-            current = self.subgroup_closure(current_set)
+        return self._members(self._normal_mask(self._indices(seed)))
+
+    def _commutator_mask(self, a: np.ndarray) -> np.ndarray:
+        """[A, G] for index array a, as the normal closure of the
+        [x, g] = x^-1 x^g with x in A and g a generator."""
+        self._tables()
+        comms = self.mul(self._inv[a][:, None], self._conj[a])
+        return self._normal_mask(np.unique(comms))
 
     def commutator_subgroup_sets(self, a_elems: Iterable) -> list:
         """[A, G] for a subset A, as the normal closure of [a, g]."""
-        comms = set()
-        for a in a_elems:
-            ai = a.inverse()
-            for g in self.gens:
-                comms.add(ai * g.inverse() * a * g)
-        return self.normal_closure(comms)
+        a = np.asarray(self._indices(a_elems), dtype=np.intp)
+        return self._members(self._commutator_mask(a))
+
+    def _derived_mask(self) -> np.ndarray:
+        return self._commutator_mask(self._tables()[0])
 
     def derived_subgroup(self) -> list:
-        comms = set()
-        for a in self.gens:
-            ai = a.inverse()
-            for b in self.gens:
-                comms.add(ai * b.inverse() * a * b)
-        return self.normal_closure(comms)
+        return self._members(self._derived_mask())
 
     def lower_central_orders(self) -> list[int]:
         """[|g1|, |g2|, ...] until the series stabilises."""
         if self.order == 1:
             return [1]
-        out = [self.order]
-        current = self.derived_subgroup()
-        out.append(len(current))
-        while True:
-            if len(current) == 1:
-                return out
-            nxt = self.commutator_subgroup_sets(current)
-            if len(nxt) == len(current):
-                return out  # stabilised above the identity
-            out.append(len(nxt))
-            current = nxt
+        current = self._derived_mask()
+        out = [self.order, int(current.sum())]
+        while out[-1] > 1:
+            current = self._commutator_mask(np.flatnonzero(current))
+            size = int(current.sum())
+            if size == out[-1]:
+                break  # stabilised above the identity
+            out.append(size)
+        return out
+
+    def _power_mask(self, p: int) -> np.ndarray:
+        return self.span(np.unique(self.power(np.arange(self.order), p)))[0]
 
     def power_subgroup(self, p: int) -> list:
-        return self.subgroup_closure({self._pow(e, p)
-                                      for e in self.elements})
+        return self._members(self._power_mask(p))
+
+    def _frattini_mask(self, lattice_bound: int = 1024):
+        pk = self.is_pgroup()
+        if pk is not None:
+            seed = self._derived_mask() | self._power_mask(pk[0])
+            return self.span(np.flatnonzero(seed))[0]
+        if self.order > lattice_bound:
+            return None
+        inter = np.ones(self.order, dtype=bool)
+        for m in self._maximal_masks():
+            inter &= m
+        return inter
 
     def frattini(self, *, lattice_bound: int = 1024) -> list | None:
         """Frattini subgroup; None when out of reach for non-p-groups."""
-        pk = self.is_pgroup()
-        if pk is not None:
-            p = pk[0]
-            seed = set(self.derived_subgroup())
-            seed.update(self.power_subgroup(p))
-            return self.subgroup_closure(seed)
-        if self.order > lattice_bound:
-            return None
-        maxes = self._maximal_subgroups()
-        if not maxes:
-            return [self.identity] if self.order == 1 else list(self.elements)
-        inter = set(maxes[0])
-        for m in maxes[1:]:
-            inter &= set(m)
-        return self.subgroup_closure(inter)
+        mask = self._frattini_mask(lattice_bound)
+        return None if mask is None else self._members(mask)
 
-    def _maximal_subgroups(self) -> list[frozenset]:
-        """All maximal subgroups by upward closure of the lattice."""
-        seen = {frozenset([self.identity])}
-        frontier = [frozenset([self.identity])]
-        everything = frozenset(self.elements)
-        proper = set()
+    def _maximal_masks(self) -> list[np.ndarray]:
+        """All maximal subgroups, by upward closure of the lattice: a
+        proper subgroup is maximal when every element outside it
+        generates the whole group with it."""
+        trivial = np.zeros(self.order, dtype=bool)
+        trivial[0] = True
+        seen = {trivial.tobytes()}
+        frontier = [(trivial, [])] if self.order > 1 else []
+        maxes = []
         while frontier:
             nxt = []
-            for sub in frontier:
-                for e in self.elements:
-                    if e in sub:
+            for sub, gens in frontier:
+                maximal = True
+                for e in np.flatnonzero(~sub):
+                    bigger, kept = self.span([e], gens)
+                    if bigger.all():
                         continue
-                    bigger = frozenset(self.subgroup_closure(sub | {e}))
-                    if bigger not in seen:
-                        seen.add(bigger)
-                        if bigger != everything:
-                            nxt.append(bigger)
-            proper.update(s for s in frontier if s != everything)
+                    maximal = False
+                    key = bigger.tobytes()
+                    if key not in seen:
+                        seen.add(key)
+                        nxt.append((bigger, kept))
+                if maximal:
+                    maxes.append(sub)
             frontier = nxt
-        return [s for s in proper
-                if not any(s < t for t in proper if t is not s)]
+        return maxes
+
+    def _maximal_subgroups(self) -> list[frozenset]:
+        """The maximal subgroups, as sets of elements."""
+        return [frozenset(self._members(m)) for m in self._maximal_masks()]
 
     def conjugacy_classes(self) -> list[list[int]]:
-        """Classes as lists of element indices, each sorted ascending."""
+        """Classes as lists of element indices, each sorted ascending,
+        ordered by their least index."""
         if self._classes is None:
+            self._tables()
             n = self.order
-            assigned = [False] * n
-            classes = []
-            for i in range(n):
-                if assigned[i]:
-                    continue
-                orbit = {i}
-                queue = deque([i])
-                assigned[i] = True
-                while queue:
-                    j = queue.popleft()
-                    e = self.elements[j]
-                    for g in self.gens:
-                        c = g.inverse() * e * g
-                        k = self.index[c]
-                        if not assigned[k]:
-                            assigned[k] = True
-                            orbit.add(k)
-                            queue.append(k)
-                classes.append(sorted(orbit))
-            self._classes = classes
+            # label each element with the least index of its class: take
+            # the least label among conjugates, then jump label[label]
+            label = np.arange(n)
+            while True:
+                new = np.minimum(label, label[self._conj].min(
+                    axis=1, initial=n))
+                new = new[new]
+                if (new == label).all():
+                    break
+                label = new
+            members = np.argsort(label, kind="stable")
+            cuts = np.flatnonzero(np.diff(label[members])) + 1
+            self._classes = [c.tolist() for c in np.split(members, cuts)]
         return self._classes
 
     def cayley_table(self) -> np.ndarray:
         """T[i, j] = index of elements[i] * elements[j].
 
-        With R[i, k] = index of elements[i] * gens[k], the closure first
-        reached element j as elements[i] * gens[k] at the first (i, k)
-        with R[i, k] = j, and i < j; so column j is one vectorised step
-        from column i: T[:, j] = R[T[:, i], k].
+        The closure first reached element j as elements[i] * gens[k],
+        with i < j; so column j is one vectorised step from column i:
+        T[:, j] = R[T[:, i], k].
         """
         if self._cayley is None:
             n = self.order
             if n > 4096:
                 raise TooLargeError(f"no Cayley table for order {n}")
-            right = np.array([[self.index[e * g] for g in self.gens]
-                              for e in self.elements], dtype=np.uint16)
-            _, first = np.unique(right.ravel(), return_index=True)
-            parent, gen = np.divmod(first, max(1, len(self.gens)))
+            right = self._tables()
+            parent, gen = self._tree
             cols = np.empty((n, n), dtype=np.uint16)
             cols[0] = np.arange(n)
             for j in range(1, n):
                 cols[j] = right[cols[parent[j]], gen[j]]
             self._cayley = np.ascontiguousarray(cols.T)
         return self._cayley
-
-    def inverse_index(self, i: int) -> int:
-        return self.index[self.elements[i].inverse()]
 
     @classmethod
     def from_permgroup(cls, g: PermGroup) -> "FiniteGroup":
@@ -796,10 +934,10 @@ _REPORT_FIELDS = [
 def invariant_report(group) -> dict:
     """The full invariant ledger of a small group, as a plain dict."""
     g = _as_finite_group(group)
-    centre = g.centre()
-    derived = g.derived_subgroup()
+    centre = g._centre_mask()
+    derived = g._derived_mask()
     lcs = g.lower_central_orders()
-    frattini = g.frattini()
+    frattini = g._frattini_mask()
     nilpotent = lcs[-1] == 1
     histogram: dict[int, int] = {}
     for o in g.element_orders():
@@ -808,19 +946,20 @@ def invariant_report(group) -> dict:
     pk = g.is_pgroup()
     special = False
     if pk is not None and frattini is not None:
-        special = (set(centre) == set(derived)
-                   and set(derived) == set(frattini))
+        special = bool((centre == derived).all()
+                       and (derived == frattini).all())
     report = {
         "order": g.order,
         "exponent": g.exponent(),
-        "centre_order": len(centre),
-        "derived_order": len(derived),
+        "centre_order": int(centre.sum()),
+        "derived_order": int(derived.sum()),
         "lower_central_orders": lcs,
-        "frattini_order": None if frattini is None else len(frattini),
+        "frattini_order": None if frattini is None else int(frattini.sum()),
         "nilpotency_class": len(lcs) - 1 if nilpotent else "not nilpotent",
         "is_abelian": g.is_abelian(),
         "is_special": special,
-        "is_extraspecial": special and pk is not None and len(centre) == pk[0],
+        "is_extraspecial": (special and pk is not None
+                            and int(centre.sum()) == pk[0]),
         "conjugacy_class_sizes": class_sizes,
         "element_order_histogram": sorted([o, c]
                                           for o, c in histogram.items()),

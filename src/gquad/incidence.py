@@ -207,6 +207,11 @@ def build_qminus5(field: GF) -> Quadrangle:
 # verification
 # ---------------------------------------------------------------------------
 
+# the axiom check counts, per chunk of lines, how many points of each line
+# every point sees; a chunk's temporaries hold about this many cells
+_AXIOM_CELLS = 1 << 20
+
+
 def _first_bad_line(gq: Quadrangle, s: int) -> Violation | None:
     for idx, line in enumerate(gq.lines):
         if len(set(line)) != len(line):
@@ -262,27 +267,29 @@ def verify_gq(gq: Quadrangle, s: int | None = None,
                           f"points {code // n} and {code % n} lie on "
                           f"more than one common line")]
 
-    # axiom: a point off a line sees exactly one of its points
+    # axiom: a point off a line sees exactly one of its points, and each
+    # point of the line sees the other s
     nb = np.stack(gq.neighbors())  # (n, s*(t+1)), valid after the above
-    worst: tuple[int, int] | None = None
-    chunk = max(1, (1 << 22) // max(n, 1))
-    for start in range(0, gq.n_lines, chunk):
-        rows = mat[start:start + chunk]
+    n_lines = gq.n_lines
+    worst = None  # least witness, coded as point * n_lines + line
+    chunk = max(1, _AXIOM_CELLS // max(n, k * nb.shape[1]))
+    for start in range(0, n_lines, chunk):
+        rows = mat[start:start + chunk].astype(np.int64)
         c = rows.shape[0]
-        gathered = nb[rows].astype(np.int64)  # (c, k, deg)
         offsets = (np.arange(c, dtype=np.int64) * n)[:, None, None]
-        cnt = np.bincount((gathered + offsets).ravel(),
+        cnt = np.bincount((nb[rows] + offsets).ravel(),
                           minlength=c * n).reshape(c, n)
-        expected = np.ones((c, n), dtype=cnt.dtype)
-        np.put_along_axis(expected, rows.astype(np.int64), s, axis=1)
-        mism = np.argwhere(cnt != expected)
-        if mism.size:
-            for line_local, p in mism:
-                cand = (int(p), start + int(line_local))
-                if worst is None or cand < worst:
-                    worst = cand
+        local = np.arange(c)[:, None]
+        own_bad = cnt[local, rows] != s
+        cnt[local, rows] = 1
+        off_bad = np.nonzero(cnt != 1)
+        codes = np.concatenate([
+            rows[own_bad] * n_lines + start + np.nonzero(own_bad)[0],
+            off_bad[1] * n_lines + start + off_bad[0]])
+        if codes.size and (worst is None or codes.min() < worst):
+            worst = int(codes.min())
     if worst is not None:
-        p, ell = worst
+        p, ell = divmod(worst, n_lines)
         return [Violation("axiom", (p, ell),
                           f"point {p} and line {ell} break the "
                           f"one-collinear-point rule")]

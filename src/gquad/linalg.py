@@ -706,15 +706,16 @@ def enumerate_singular(form, dim: int) -> list[Subspace]:
 def mat_mul_batch(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise-GF product of stacks of matrices.
 
-    a has shape (..., n, k), b shape (..., k, m); both contain field
-    codes.  Works via the field's lookup tables, so q <= 1024.
+    a has shape (..., n, k), b shape (..., k, m), with broadcastable
+    leading dimensions; both contain field codes.  Works via the field's
+    lookup tables, so q <= 1024.  The sum runs over one inner index at a
+    time, so no temporary is larger than the (..., n, m) result.
     """
     mul = field.mul_table.astype(np.int64)
     addt = field.add_table.astype(np.int64)
-    prods = mul[a[..., :, :, None], b[..., None, :, :]]
-    acc = prods[..., 0, :]
-    for t in range(1, prods.shape[-2]):
-        acc = addt[acc, prods[..., t, :]]
+    acc = mul[a[..., :, 0, None], b[..., 0, None, :]]
+    for t in range(1, a.shape[-1]):
+        acc = addt[acc, mul[a[..., :, t, None], b[..., t, None, :]]]
     return acc
 
 

@@ -178,33 +178,17 @@ def sylow_subgroup(ambient: PermGroup, p: int, *, budget=None) -> PermGroup:
 # maximal subgroups of a p-group
 # ---------------------------------------------------------------------------
 
-def _greedy_gens(hf: FiniteGroup, pool, gens: list, size: int) -> list:
-    """Extend ``gens`` by pool elements outside the span so far, in pool
-    order, until the span has ``size`` elements."""
-    span = set(hf.subgroup_closure(gens))
-    for e in pool:
-        if len(span) == size:
-            break
-        if e not in span:
-            gens.append(e)
-            span = set(hf.subgroup_closure(gens))
-    return gens
-
-
 def _maximal_subgroups(h: PermGroup, p: int, clock: "_Clock") -> list[PermGroup]:
     """All maximal subgroups: preimages of Frattini-quotient hyperplanes,
     each generated by a greedy generating set of Phi(H) and d-1 more
     elements, all picked in the closure's element order."""
     hf = FiniteGroup.from_permgroup(h)
-    phi = set(hf.frattini())
-    phi_gens = _greedy_gens(hf, [e for e in hf.elements if e in phi], [],
-                            len(phi))
+    phi, phi_gens = hf.span([hf.index[e] for e in hf.frattini()])
     # coset representatives mapping onto a basis of the elementary abelian
     # quotient H/Phi
-    basis = _greedy_gens(hf, hf.elements, list(phi_gens),
-                         hf.order)[len(phi_gens):]
+    basis = hf.span(range(hf.order), phi_gens)[1][len(phi_gens):]
     d = len(basis)
-    if p ** d * len(phi) != hf.order:
+    if p ** d * int(phi.sum()) != hf.order:
         raise RuntimeError("Frattini quotient basis has the wrong size")
     out = []
     # functionals on GF(p)^d up to scalar, via a leading 1
@@ -217,7 +201,8 @@ def _maximal_subgroups(h: PermGroup, p: int, clock: "_Clock") -> list[PermGroup]
             for i in range(d):
                 if i == pivot:
                     continue
-                gens.append(basis[i] * basis[pivot] ** (p - c[i]))
+                gens.append(hf.mul(basis[i], hf.power(basis[pivot], p - c[i])))
+            gens = [hf.elements[i] for i in gens]
             m = PermGroup(h.degree, gens, element_bound=h.element_bound)
             if m.order() * p != hf.order:
                 raise RuntimeError("hyperplane preimage has the wrong order")

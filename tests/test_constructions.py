@@ -308,6 +308,7 @@ def test_sylow_exponent():
     assert sylow_exponent(GF.default(3)) == 9
     assert sylow_exponent(GF.default(4)) == 4
     assert sylow_exponent(GF.default(5)) == 5
+    assert sylow_exponent(GF.default(8)) == 4  # 4 chunks of 2^16
 
 
 def test_sylow_exponent_guard():

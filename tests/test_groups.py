@@ -1,10 +1,15 @@
 """Tests for the permutation and abstract group machinery."""
 
+import hashlib
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gquad.gf import GF
+from gquad.constructions import build_derived_model
+from gquad.gf import GF, _factorise
 from gquad.groups import (
     UNKNOWN,
     FiniteGroup,
@@ -496,6 +501,310 @@ def test_from_permgroup_does_not_close_again(monkeypatch):
     assert whole_group_closures() == 1
     assert a.elements is elements and b.elements is elements
     assert a.gens == g.gens and a.identity == Permutation.identity(g.degree)
+
+
+# -- the index kernel against the former object-product loops ---------------
+
+def pow_oracle(g: FiniteGroup, e, n: int):
+    """The former FiniteGroup._pow: square-and-multiply on elements."""
+    out = g.identity
+    base = e
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+def element_orders_oracle(g: FiniteGroup) -> list[int]:
+    out = []
+    for e in g.elements:
+        o = g.order
+        for r in sorted(set(_factorise(o))):
+            while o % r == 0 and pow_oracle(g, e, o // r) == g.identity:
+                o //= r
+        out.append(o)
+    return out
+
+
+def centre_oracle(g: FiniteGroup) -> list:
+    return [e for e in g.elements if all(e * x == x * e for x in g.gens)]
+
+
+def normal_closure_oracle(g: FiniteGroup, seed) -> list:
+    current = closure_oracle(g.identity, list(dict.fromkeys(seed)))
+    while True:
+        current_set = set(current)
+        new = []
+        for x in g.gens:
+            xi = x.inverse()
+            for e in current:
+                c = xi * e * x
+                if c not in current_set:
+                    new.append(c)
+                    current_set.add(c)
+        if not new:
+            return current
+        current = closure_oracle(g.identity, list(current_set))
+
+
+def commutator_sets_oracle(g: FiniteGroup, a_elems) -> list:
+    comms = set()
+    for a in a_elems:
+        for x in g.gens:
+            comms.add(a.inverse() * x.inverse() * a * x)
+    return normal_closure_oracle(g, comms)
+
+
+def derived_oracle(g: FiniteGroup) -> list:
+    return commutator_sets_oracle(g, g.gens)
+
+
+def lower_central_oracle(g: FiniteGroup) -> list[int]:
+    if g.order == 1:
+        return [1]
+    out = [g.order]
+    current = derived_oracle(g)
+    out.append(len(current))
+    while len(current) > 1:
+        nxt = commutator_sets_oracle(g, current)
+        if len(nxt) == len(current):
+            break
+        out.append(len(nxt))
+        current = nxt
+    return out
+
+
+def power_subgroup_oracle(g: FiniteGroup, p: int) -> list:
+    return closure_oracle(g.identity,
+                          list(dict.fromkeys(pow_oracle(g, e, p)
+                                             for e in g.elements)))
+
+
+def maximal_subgroups_oracle(g: FiniteGroup) -> list[frozenset]:
+    """The former upward closure of the subgroup lattice over elements."""
+    trivial = frozenset([g.identity])
+    seen, frontier, proper = {trivial}, [trivial], set()
+    everything = frozenset(g.elements)
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for e in g.elements:
+                if e not in sub:
+                    bigger = frozenset(closure_oracle(g.identity,
+                                                      list(sub) + [e]))
+                    if bigger not in seen:
+                        seen.add(bigger)
+                        if bigger != everything:
+                            nxt.append(bigger)
+        proper.update(x for x in frontier if x != everything)
+        frontier = nxt
+    return [x for x in proper if not any(x < y for y in proper)]
+
+
+def frattini_oracle(g: FiniteGroup, derived, lattice_bound=1024):
+    pk = g.is_pgroup()
+    if pk is not None:
+        seed = set(derived) | set(power_subgroup_oracle(g, pk[0]))
+        return closure_oracle(g.identity, list(seed))
+    if g.order > lattice_bound:
+        return None
+    inter = set(g.elements)
+    for m in maximal_subgroups_oracle(g):
+        inter &= m
+    return list(inter)
+
+
+def conjugacy_classes_oracle(g: FiniteGroup) -> list[list[int]]:
+    assigned = [False] * g.order
+    classes = []
+    for i in range(g.order):
+        if assigned[i]:
+            continue
+        orbit, todo = {i}, [i]
+        assigned[i] = True
+        while todo:
+            e = g.elements[todo.pop()]
+            for x in g.gens:
+                k = g.index[x.inverse() * e * x]
+                if not assigned[k]:
+                    assigned[k] = True
+                    orbit.add(k)
+                    todo.append(k)
+        classes.append(sorted(orbit))
+    return classes
+
+
+def invariant_report_oracle(g: FiniteGroup, orders, classes, centre,
+                            derived, lcs, frattini) -> dict:
+    """The former invariant_report body over object-product results."""
+    histogram = {}
+    for o in orders:
+        histogram[o] = histogram.get(o, 0) + 1
+    pk = g.is_pgroup()
+    special = (pk is not None and frattini is not None
+               and set(centre) == set(derived) == set(frattini))
+    report = {
+        "order": g.order,
+        "exponent": math.lcm(*set(orders)),
+        "centre_order": len(centre),
+        "derived_order": len(derived),
+        "lower_central_orders": lcs,
+        "frattini_order": None if frattini is None else len(frattini),
+        "nilpotency_class": (len(lcs) - 1 if lcs[-1] == 1
+                             else "not nilpotent"),
+        "is_abelian": all(a * b == b * a for a in g.gens for b in g.gens),
+        "is_special": special,
+        "is_extraspecial": special and len(centre) == pk[0],
+        "conjugacy_class_sizes": sorted(len(c) for c in classes),
+        "element_order_histogram": sorted([o, c]
+                                          for o, c in histogram.items()),
+    }
+    payload = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    report["fingerprint"] = hashlib.sha256(payload.encode()).hexdigest()
+    return report
+
+
+def assert_matches_oracles(g: FiniteGroup):
+    """Every index-table invariant of a fresh group against its oracle:
+    exact lists for orders and classes, sets for subgroups."""
+    orders = element_orders_oracle(g)
+    classes = conjugacy_classes_oracle(g)
+    centre = centre_oracle(g)
+    derived = derived_oracle(g)
+    lcs = lower_central_oracle(g)
+    frattini = frattini_oracle(g, derived)
+    assert g.element_orders() == orders
+    assert g.conjugacy_classes() == classes
+    assert set(g.centre()) == set(centre)
+    assert set(g.derived_subgroup()) == set(derived)
+    assert g.lower_central_orders() == lcs
+    assert set(g.frattini()) == set(frattini)
+    for p in _factorise(g.order):
+        assert set(g.power_subgroup(p)) == \
+            set(power_subgroup_oracle(g, p))
+    some = g.elements[1::max(1, g.order // 5)]
+    assert set(g.normal_closure(some[:1])) == \
+        set(normal_closure_oracle(g, some[:1]))
+    assert set(g.commutator_subgroup_sets(centre + some)) == \
+        set(commutator_sets_oracle(g, centre + some))
+    for seed in ([], some[:2], some[1:4], derived[:3] + some[-1:]):
+        assert set(g.subgroup_closure(seed)) == \
+            set(closure_oracle(g.identity, seed))
+    assert invariant_report(g) == invariant_report_oracle(
+        g, orders, classes, centre, derived, lcs, frattini)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_matrix_groups_match_oracles(q):
+    from gquad.constructions import elation_group, shear_group, split_group
+    k = GF.default(q)
+    builds = [elation_group, shear_group] + ([split_group] if k.f > 1
+                                             else [])
+    for build in builds:
+        assert_matches_oracles(build(k))
+
+
+def sorted_indices(g):
+    return lambda sub: sorted(g.index[e] for e in sub)
+
+
+def test_small_groups_match_oracles():
+    # S4, S3 and GL(2,2) are not p-groups: their Frattini subgroup comes
+    # from the lattice of maximal subgroups
+    k = GF.default(2)
+    gl22 = FiniteGroup(Mat.identity(k, 2),
+                       [Mat.from_rows(k, [(0, 1), (1, 0)]),
+                        Mat.from_rows(k, [(1, 1), (0, 1)])])
+    d8 = PermGroup(4, [cyc(4, range(4)), Permutation([0, 3, 2, 1])])
+    groups = [FiniteGroup.from_permgroup(g) for g in
+              (sym(4), sym(3), PermGroup(6, [cyc(6, range(6))]), d8,
+               PermGroup(1, []))]
+    groups += [gl22, heisenberg3(), order27_exp9()]
+    for g in groups:
+        assert_matches_oracles(g)
+    # the lattice route itself, as sets of elements
+    for g in groups[:4]:
+        assert sorted(map(sorted_indices(g), g._maximal_subgroups())) == \
+            sorted(map(sorted_indices(g), maximal_subgroups_oracle(g)))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_descent_groups_match_oracles(q):
+    # the regular subgroups the Sylow descent finds, and the Sylow
+    # subgroup it starts from
+    import gquad.search as search
+    from gquad.constructions import ambient_stabiliser
+    model = build_derived_model(GF.default(q))
+    t = _model_groups(q)[2]
+    amb = ambient_stabiliser(model.field, model.gq)
+    leaves, _ = search._descend(t, q ** 3, model.field.p,
+                                search._Clock(None), amb)
+    assert leaves
+    for h in leaves + [t]:
+        assert_matches_oracles(FiniteGroup.from_permgroup(h))
+
+
+def test_index_products_match_element_products():
+    # S7 has order 5040, past the Cayley-table bound
+    rng = np.random.default_rng(7)
+    for g in (FiniteGroup.from_permgroup(sym(7)), heisenberg3()):
+        x = rng.integers(0, g.order, 300)
+        y = rng.integers(0, g.order, 300)
+        want = [g.index[g.elements[a] * g.elements[b]] for a, b in zip(x, y)]
+        assert g.mul(x, y).tolist() == want
+        assert g.mul(x[0], y).tolist() == [g.index[g.elements[x[0]]
+                                                   * g.elements[b]]
+                                           for b in y]
+        assert g.power(x, 5).tolist() == \
+            [g.index[pow_oracle(g, g.elements[a], 5)] for a in x]
+        assert all(g.elements[g.inverse_index(a)] == g.elements[a].inverse()
+                   for a in x)
+    s7 = FiniteGroup.from_permgroup(sym(7))
+    assert s7.element_orders() == [e.order() for e in s7.elements]
+    with pytest.raises(TooLargeError):
+        s7.cayley_table()
+
+
+def test_span_keeps_a_greedy_generating_set():
+    h = FiniteGroup.from_permgroup(_model_groups(3)[2])
+    seeds = list(range(5, 60, 3))
+    mask, kept = h.span(seeds)
+    assert set(np.flatnonzero(mask)) == \
+        {h.index[e] for e in closure_oracle(h.identity,
+                                            [h.elements[i] for i in seeds])}
+    for j, s in enumerate(kept):
+        # each kept seed lies outside the span of those before it
+        before = closure_oracle(h.identity, [h.elements[i] for i in kept[:j]])
+        assert h.elements[s] not in before
+    mask2, kept2 = h.span(range(h.order), kept)
+    assert mask2.all() and kept2[:len(kept)] == kept
+
+
+def test_invariants_make_no_second_pass(monkeypatch):
+    # after its closure, a matrix group multiplies elements only to fill
+    # its right-multiplication table, once
+    from gquad.constructions import elation_group, shear_group
+    k = GF.default(5)
+    e, p = elation_group(k), shear_group(k)
+    calls = []
+    real = Mat.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    for g in (e, p):
+        calls.clear()
+        invariant_report(g)
+        assert 0 < len(calls) <= g.order * len(g.gens)
+    calls.clear()
+    assert invariant_report(e) == invariant_report(e)
+    invariant_report(p)
+    assert is_isomorphic_small(e, p) is not None  # E ~ P when p > 3
+    assert calls == []
 
 
 # -- normality and conjugacy -------------------------------------------------

@@ -117,6 +117,65 @@ def test_verify_axiom():
     assert out[0].witness == (0, 2)  # point 0 against line (1,2)
 
 
+def axiom_witness_oracle(gq: Quadrangle, s: int):
+    """The former dense axiom check: all counts against one expected
+    lines x points matrix; the least (point, line) witness or None."""
+    mat = gq.line_matrix().astype(np.int64)
+    nb = gq.neighbors()
+    cnt = np.zeros((gq.n_lines, gq.n_points), dtype=np.int64)
+    for ell, row in enumerate(mat):
+        for x in row:
+            cnt[ell, nb[x]] += 1
+    expected = np.ones_like(cnt)
+    np.put_along_axis(expected, mat, s, axis=1)
+    bad = np.argwhere(cnt != expected)
+    return min((int(p), int(ell)) for ell, p in bad) if bad.size else None
+
+
+def _swapped(gq: Quadrangle, rng) -> Quadrangle:
+    """gq with one point of one line swapped for one point of another:
+    line sizes and point degrees stay, the axiom usually breaks."""
+    lines = [list(line) for line in gq.lines]
+    while True:
+        i, j = rng.choice(len(lines), 2, replace=False)
+        a, b = rng.choice(lines[i]), rng.choice(lines[j])
+        if a not in lines[j] and b not in lines[i]:
+            break
+    lines[i][lines[i].index(a)] = b
+    lines[j][lines[j].index(b)] = a
+    return Quadrangle(gq.n_points, lines, s=gq.s, t=gq.t)
+
+
+def test_verify_axiom_across_chunks(monkeypatch):
+    import gquad.incidence as incidence
+    # one line per chunk: the least witness of the triangles example,
+    # (0, 2), lies in the third chunk, after worse witnesses in the first
+    monkeypatch.setattr(incidence, "_AXIOM_CELLS", 1)
+    lines = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    out = verify_gq(Quadrangle(6, lines, s=1, t=1))
+    assert out[0].witness == (0, 2)
+    assert verify_gq(build_w3(GF.default(3))) == []
+    rng = np.random.default_rng(3)
+    seen_later, checked = False, 0
+    for cells in (1, 40, 1000):
+        monkeypatch.setattr(incidence, "_AXIOM_CELLS", cells)
+        for q in (2, 3):
+            w = build_w3(GF.default(q))
+            w.s, w.t = q, q
+            for _ in range(6):
+                broken = _swapped(w, rng)
+                out = verify_gq(broken)
+                if out and out[0].category == "axiom":
+                    checked += 1
+                    want = axiom_witness_oracle(broken, q)
+                    assert out[0].witness == want
+                    # lines per chunk, as verify_gq sizes them
+                    chunk = max(1, cells // max(w.n_points,
+                                                (q + 1) * q * (q + 1)))
+                    seen_later |= want[1] >= chunk
+    assert seen_later and checked >= 10
+
+
 # -- perp machinery ----------------------------------------------------------
 
 def test_perp_sets_w3():

@@ -133,6 +133,36 @@ def test_batch_product_matches_single():
         assert list(mat_identity_mask(stack)) == [True, False]
 
 
+def test_batch_product_matches_mat_products_on_random_stacks():
+    rng = np.random.default_rng(11)
+    for q in (2, 3, 4, 5, 8, 9):
+        k = GF.default(q)
+
+        def stack(*shape):
+            return rng.integers(0, q, shape)
+
+        def product(x, y):
+            return (Mat(k, *x.shape, x.ravel().tolist())
+                    * Mat(k, *y.shape, y.ravel().tolist())).to_array()
+
+        a, b = stack(20, 4, 4), stack(20, 4, 4)
+        got = mat_mul_batch(k, a, b)
+        assert got.shape == (20, 4, 4)
+        for i in range(20):
+            assert (got[i] == product(a[i], b[i])).all()
+        # the (c, 1) x (1, n) broadcast of the elation-rule verifiers
+        a, b = stack(3, 1, 4, 4), stack(1, 5, 4, 4)
+        got = mat_mul_batch(k, a, b)
+        assert got.shape == (3, 5, 4, 4)
+        for i in range(3):
+            for j in range(5):
+                assert (got[i, j] == product(a[i, 0], b[0, j])).all()
+        a, b = stack(4, 2, 3), stack(4, 3, 5)
+        got = mat_mul_batch(k, a, b)
+        for i in range(4):
+            assert (got[i] == product(a[i], b[i])).all()
+
+
 def test_semilinear_composition_and_inverse():
     rng = random.Random(5)
     for q in [4, 8, 9, 16]:
