@@ -453,7 +453,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=float,
                         help="search budget in seconds")
     common.add_argument("--bound", type=int,
-                        help="largest order for full element listings")
+                        help="largest group order for the explicit "
+                             "isomorphism search")
     common.add_argument("--out-dir", dest="out_dir")
     common.add_argument("--formats", help="comma list of json,md,csv")
     common.add_argument("--config", help="key=value config file")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .gf import GF, _factorise
 from .groups import (FiniteGroup, InvalidPermutationError, PermGroup,
-                     Permutation, TooLargeError)
+                     Permutation, TooLargeError, _extend_homomorphisms)
 from .incidence import Quadrangle, build_from_form, build_w3, gq_isomorphic, \
     payne_derive
 from .linalg import (Mat, QuadraticForm, SemilinearMap, code_lookup,
@@ -301,28 +301,6 @@ def ambient_stabiliser(field: GF, gq: Quadrangle) -> PermGroup:
 # the isomorphism E -> P in characteristic > 3
 # ---------------------------------------------------------------------------
 
-def _extend_homomorphism(src: FiniteGroup, images: Sequence,
-                         identity) -> dict | None:
-    """Extend generator images over all of src, or None on conflict.
-
-    src.elements is in closure order, so every element is reached as an
-    earlier element times a generator.  Checking every such product
-    pins down multiplicativity on the whole group.
-    """
-    img = {src.identity: identity}
-    for e in src.elements:
-        he = img[e]
-        for g, hg in zip(src.gens, images):
-            x = e * g
-            hx = he * hg
-            prev = img.get(x)
-            if prev is None:
-                img[x] = hx
-            elif prev != hx:
-                return None
-    return img
-
-
 def iso_E_to_P(field: GF) -> dict:
     """An explicit isomorphism from E onto P, as a dict of matrices.
 
@@ -342,17 +320,16 @@ def iso_E_to_P(field: GF) -> dict:
         b = k.neg(k.mul(inv2, k.mul(al, al)))
         images.append(elation_matrix(k, 0, b, al))
     assert len(P.gens) == len(images)
-    phi = _extend_homomorphism(P, images, Mat.identity(k, 4))
-    if phi is None:
-        raise AssertionError("shear-to-elation map failed to extend")
-    out = {}
-    for pe, ee in phi.items():
-        if ee in out:
-            raise AssertionError("shear-to-elation map is not injective")
-        out[ee] = pe
-    if set(out) != set(E.elements):
-        raise AssertionError("image is not the elation group")
-    return out
+    start = np.full((1, P.order), -1, dtype=np.intp)
+    start[0, 0] = 0
+    phi = _extend_homomorphisms(
+        P, E, [P.index[g] for g in P.gens],
+        np.array([[E.index[m] for m in images]], dtype=np.intp), start)
+    if not len(phi):
+        raise AssertionError("shear-to-elation map is not an isomorphism")
+    # an injective homomorphism between groups of order q^3 is onto
+    return {E.elements[j]: P.elements[i]
+            for i, j in enumerate(phi[0].tolist())}
 
 
 # ---------------------------------------------------------------------------

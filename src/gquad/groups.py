@@ -11,7 +11,7 @@ gens[k]), filled by the only element products made after the closure,
 and the closure-tree word of each element, which multiplies index arrays
 by walks through R.  Element orders, the centre, conjugacy classes,
 subgroup and normal closures, the lower central series, power and
-Frattini subgroups and the Cayley table are all computed from them with
+Frattini subgroups and isomorphisms are all computed from them with
 numpy.
 
 ``element_closure`` is the one closure over element objects: PermGroup
@@ -588,7 +588,6 @@ class FiniteGroup:
         self._right: np.ndarray | None = None
         self._rmul: dict[int, np.ndarray] = {}
         self._orders: list[int] | None = None
-        self._cayley: np.ndarray | None = None
         self._classes: list[list[int]] | None = None
 
     @property
@@ -651,7 +650,6 @@ class FiniteGroup:
         for t in range(self._words.shape[1] - 1, -1, -1):
             inv = back[inv, self._words[:, t]]
         self._inv = inv
-        self._tree = parent, gen
         self._right = right
         # conj[x, k] = index of gens[k]^-1 * x * gens[k]
         self._conj = np.array(
@@ -882,26 +880,6 @@ class FiniteGroup:
             self._classes = [c.tolist() for c in np.split(members, cuts)]
         return self._classes
 
-    def cayley_table(self) -> np.ndarray:
-        """T[i, j] = index of elements[i] * elements[j].
-
-        The closure first reached element j as elements[i] * gens[k],
-        with i < j; so column j is one vectorised step from column i:
-        T[:, j] = R[T[:, i], k].
-        """
-        if self._cayley is None:
-            n = self.order
-            if n > 4096:
-                raise TooLargeError(f"no Cayley table for order {n}")
-            right = self._tables()
-            parent, gen = self._tree
-            cols = np.empty((n, n), dtype=np.uint16)
-            cols[0] = np.arange(n)
-            for j in range(1, n):
-                cols[j] = right[cols[parent[j]], gen[j]]
-            self._cayley = np.ascontiguousarray(cols.T)
-        return self._cayley
-
     @classmethod
     def from_permgroup(cls, g: PermGroup) -> "FiniteGroup":
         """The same group over g's cached closure, not closed again."""
@@ -1085,26 +1063,52 @@ def is_conjugate_subgroup(ambient: PermGroup, h1: PermGroup,
 # isomorphism of small groups
 # ---------------------------------------------------------------------------
 
-def _generating_sequence(g: FiniteGroup, table: np.ndarray) -> list[int]:
-    chosen = []
-    closure = {0}
-    for i in range(g.order):
-        if i in closure:
-            continue
-        chosen.append(i)
-        new = [i]
-        closure.add(i)
-        while new:
-            x = new.pop()
-            row = table[x]
-            for y in list(closure):
-                for z in (int(row[y]), int(table[y, x])):
-                    if z not in closure:
-                        closure.add(z)
-                        new.append(z)
-        if len(closure) == g.order:
-            break
-    return chosen
+# cells (candidate maps x group order) of one block of the isomorphism
+# search; extending a block allocates index arrays of at most this many
+# cells per generator
+_BLOCK_CELLS = 1 << 14
+
+
+def _extend_homomorphisms(a: FiniteGroup, b: FiniteGroup, gens: Sequence[int],
+                          images: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Extend partial maps from a to b over the subgroup generated by
+    ``gens``, keeping only the injective homomorphisms.
+
+    Each row of ``rows`` is one map: rows[i, x] is the index in b of the
+    image of a's element x, or -1 where it is not known yet; the known
+    positions are the same in every row and the identity maps to the
+    identity.  images[i, k] is row i's image of gens[k].  From every known
+    x the walk steps to x * gens[k] along a's right-multiplication
+    permutations and sets, or checks, its image rows[i, x] * images[i, k],
+    breadth-first until the known positions are closed; since they are
+    shared, each step is one numpy gather over the whole block.  A row
+    survives when every step agrees and no element other than the
+    identity maps to the identity.  Fills ``rows`` in place and returns
+    the surviving rows, completed.
+    """
+    perms = [a._right_perm(int(g)) for g in gens]
+    known = rows[0] >= 0
+    frontier = np.flatnonzero(known)
+    while frontier.size and len(rows):
+        targets = np.concatenate([perm[frontier] for perm in perms])
+        values = np.hstack([b.mul(rows[:, frontier], images[:, k, None])
+                            for k in range(len(perms))])
+        fresh = np.flatnonzero(~known[targets])
+        frontier, first = np.unique(targets[fresh], return_index=True)
+        rows[:, frontier] = values[:, fresh[first]]
+        known[frontier] = True
+        agree = (rows[:, targets] == values).all(axis=1)
+        rows, images = rows[agree], images[agree]
+    # every row is now a homomorphism on the closure: injective exactly
+    # when its kernel is trivial
+    return rows[(rows[:, np.flatnonzero(known)[1:]] != 0).all(axis=1)]
+
+
+def _class_sizes(g: FiniteGroup) -> np.ndarray:
+    sizes = np.empty(g.order, dtype=np.intp)
+    for cls in g.conjugacy_classes():
+        sizes[cls] = len(cls)
+    return sizes
 
 
 def is_isomorphic_small(g1, g2, *, max_order: int = 4096):
@@ -1126,9 +1130,14 @@ def find_isomorphism(g1, g2, *, max_order: int = 4096):
     """An isomorphism as an element map {g1 elem: g2 elem}, or None.
 
     The search alone, with no invariant report: for callers that have
-    already compared fingerprints.  Generators of g1 are mapped to
-    elements of equal order and class size in g2, and each choice is
-    extended through the Cayley tables until it closes or clashes.
+    already compared fingerprints.  g1 is generated by the greedy
+    sequence of ``FiniteGroup.span``.  Each generator in turn is sent to
+    every element of g2 of equal order and class size outside the image
+    so far (the first one to class representatives only, which loses
+    nothing up to inner automorphisms), and ``_extend_homomorphisms``
+    extends each choice over the subgroup generated so far, a block of
+    choices at a time.  The search recurses into the surviving choices
+    only, depth first, so it returns the first isomorphism in that order.
     """
     a = _as_finite_group(g1)
     b = _as_finite_group(g2)
@@ -1139,88 +1148,40 @@ def find_isomorphism(g1, g2, *, max_order: int = 4096):
     if a.order == 1:
         return {a.identity: b.identity}
 
-    ta = a.cayley_table()
-    tb = b.cayley_table()
     n = a.order
-    orders_a = a.element_orders()
-    orders_b = b.element_orders()
-    class_of_b = [0] * n
-    for ci, cls in enumerate(b.conjugacy_classes()):
-        for i in cls:
-            class_of_b[i] = ci
-    class_size_b = [len(b.conjugacy_classes()[class_of_b[i]])
-                    for i in range(n)]
-    class_size_a = [0] * n
-    for cls in a.conjugacy_classes():
-        for i in cls:
-            class_size_a[i] = len(cls)
+    gens = a.span(range(n))[1]
+    orders_a = np.array(a.element_orders())
+    orders_b = np.array(b.element_orders())
+    sizes_a, sizes_b = _class_sizes(a), _class_sizes(b)
+    fits = [(orders_b == orders_a[g]) & (sizes_b == sizes_a[g]) for g in gens]
+    reps = np.zeros(n, dtype=bool)
+    reps[[cls[0] for cls in b.conjugacy_classes()]] = True
+    fits[0] &= reps
+    block = max(1, _BLOCK_CELLS // n)
 
-    gens = _generating_sequence(a, ta)
-
-    def candidates(gen_idx: int, first: bool):
-        want_o = orders_a[gen_idx]
-        want_c = class_size_a[gen_idx]
-        if first:
-            # one representative per class suffices up to inner autos
-            reps = [cls[0] for cls in b.conjugacy_classes()]
-            return [r for r in reps
-                    if orders_b[r] == want_o and class_size_b[r] == want_c]
-        return [i for i in range(n)
-                if orders_b[i] == want_o and class_size_b[i] == want_c]
-
-    img = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=bool)
-    img[0] = 0
-    used[0] = True
-    known = [0]
-
-    def extend(k: int, known: list[int]) -> bool:
+    def search(k: int, rows: np.ndarray):
         if k == len(gens):
-            return len(known) == n
-        gi = gens[k]
-        for h in candidates(gi, first=(k == 0)):
-            if used[h]:
-                continue
-            touched = []
-            ok = True
-            img[gi] = h
-            used[h] = True
-            touched.append(gi)
-            frontier = [gi]
-            local = list(known)
-            local.append(gi)
-            while frontier and ok:
-                x = frontier.pop()
-                for y in list(local):
-                    for p, q in ((int(ta[x, y]), int(tb[img[x], img[y]])),
-                                 (int(ta[y, x]), int(tb[img[y], img[x]]))):
-                        if img[p] == -1:
-                            if used[q]:
-                                ok = False
-                                break
-                            img[p] = q
-                            used[q] = True
-                            touched.append(p)
-                            local.append(p)
-                            frontier.append(p)
-                        elif img[p] != q:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok and extend(k + 1, local):
-                return True
-            for t in touched:
-                used[img[t]] = False
-                img[t] = -1
-        return False
+            return rows[0]
+        # an element already in a row's image cannot be the next image
+        free = np.tile(fits[k], (len(rows), 1))
+        free[np.arange(len(rows))[:, None], rows[:, rows[0] >= 0]] = False
+        parent, image = np.nonzero(free)
+        for s in range(0, len(parent), block):
+            chosen = rows[parent[s:s + block]]
+            images = np.column_stack([chosen[:, gens[:k]],
+                                      image[s:s + block]])
+            kept = _extend_homomorphisms(a, b, gens[:k + 1], images, chosen)
+            found = search(k + 1, kept) if len(kept) else None
+            if found is not None:
+                return found
+        return None
 
-    if extend(0, known):
-        mapping = {a.elements[i]: b.elements[int(img[i])] for i in range(n)}
-        # verified: img was built from Cayley consistency, check bijection
-        assert len(set(mapping.values())) == n
-        return mapping
-    return None
+    start = np.full((1, n), -1, dtype=np.intp)
+    start[0, 0] = 0
+    found = search(0, start)
+    if found is None:
+        return None
+    return {a.elements[i]: b.elements[j] for i, j in enumerate(found.tolist())}
 
 
 # ---------------------------------------------------------------------------

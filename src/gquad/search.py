@@ -33,7 +33,6 @@ from .groups import (
     FiniteGroup,
     PermGroup,
     Permutation,
-    TooLargeError,
     element_closure,
     find_isomorphism,
     invariant_report,
@@ -604,14 +603,7 @@ def classify_classes(table: RegularClassTable, *,
                 if note not in table.notes:
                     table.notes.append(note)
                 continue
-            try:
-                iso = find_isomorphism(c.rep, other.rep)
-            except TooLargeError:
-                iso = None
-                note = (f"isomorphism test skipped for classes "
-                        f"{c.class_id}/{other.class_id} (too large)")
-                table.notes.append(note)
-            if iso is not None:
+            if find_isomorphism(c.rep, other.rep, max_order=bound) is not None:
                 other.iso_class = next_id
         next_id += 1
     return table

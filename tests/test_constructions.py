@@ -36,6 +36,7 @@ from gquad.groups import (
     PermGroup,
     Permutation,
     TooLargeError,
+    find_isomorphism,
     invariant_report,
     is_isomorphic_small,
     is_normal,
@@ -175,6 +176,17 @@ def test_iso_e_to_p_is_an_isomorphism():
     for a in E.elements[::7]:
         for b in E.elements[::11]:
             assert phi[a * b] == phi[a] * phi[b]
+
+
+def test_e_p_isomorphism_past_order_4096():
+    k = GF.default(17)
+    E, P = elation_group(k), shear_group(k)
+    phi = find_isomorphism(E, P, max_order=4913)
+    assert set(phi) == set(E.elements)
+    assert len(set(phi.values())) == 4913
+    for g in E.gens:
+        for h in E.elements:
+            assert phi[g * h] == phi[g] * phi[h]
 
 
 def test_iso_e_to_p_rejects_small_characteristic():

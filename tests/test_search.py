@@ -164,8 +164,22 @@ def test_enumerate_q2_four_classes(q2):
         assert c.matches == []
 
 
-def test_enumerate_q2_iso_classes(q2):
+def _recording_search(monkeypatch):
+    calls = []
+    real = gquad.search.find_isomorphism
+
+    def recording(a, b, **kwargs):
+        iso = real(a, b, **kwargs)
+        calls.append((a, b, kwargs, iso))
+        return iso
+
+    monkeypatch.setattr(gquad.search, "find_isomorphism", recording)
+    return calls
+
+
+def test_enumerate_q2_iso_classes(q2, monkeypatch):
     model, e, p, t, amb = q2
+    calls = _recording_search(monkeypatch)
     table = classify_classes(enumerate_regular(model.gq, amb, sylow=t))
     ids = {c.description: set() for c in table.classes}
     for c in table.classes:
@@ -174,6 +188,25 @@ def test_enumerate_q2_iso_classes(q2):
     # the two dihedral classes are non-conjugate but isomorphic
     assert len(ids["D8"]) == 1
     assert len({c.iso_class for c in table.classes}) == 3
+    # and the map that says so is an isomorphism
+    d8a, d8b = (c.rep for c in table.classes if c.description == "D8")
+    [phi] = [iso for a, b, _, iso in calls if (a, b) == (d8a, d8b)]
+    assert set(phi) == set(d8a.elements())
+    assert set(phi.values()) == set(d8b.elements())
+    for x in d8a.elements():
+        for y in d8a.elements():
+            assert phi[x * y] == phi[x] * phi[y]
+
+
+def test_classify_searches_up_to_its_bound(q2, monkeypatch):
+    model, e, p, t, amb = q2
+    table = enumerate_regular(model.gq, amb, sylow=t)
+    calls = _recording_search(monkeypatch)
+    classify_classes(table, bound=5000)
+    assert calls
+    assert all(kwargs == {"max_order": 5000} for _, _, kwargs, _ in calls)
+    assert [c.iso_class for c in table.classes] == [0, 1, 2, 2]
+    assert table.notes == []
 
 
 def test_enumerate_q2_deterministic(q2):
