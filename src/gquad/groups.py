@@ -1,9 +1,14 @@
 """Permutation groups and small abstract groups.
 
 Permutations map 0-based points through an image array; the product
-g * h applies g first, then h, so x^(g*h) = h(g(x)).  PermGroup keeps a
-deterministic stabiliser chain (base points chosen ascending) built
-lazily.  FiniteGroup is the element closure of anything with * and ==
+g * h applies g first, then h, so x^(g*h) = h(g(x)).  PermGroup builds a
+deterministic stabiliser chain lazily, by incremental Schreier-Sims: a
+new level's base point is the least point moved by the residue that
+opens it, after any base_prefix.  Each level's orbit and transversal
+only grow, breadth-first with numpy gathers, so every Schreier generator
+u_b g u_{b^g}^-1 is formed and sifted once, in blocks of image-array
+rows; the bottom level tests u_b g == u_{b^g} with no inverse at all.
+FiniteGroup is the element closure of anything with * and ==
 (matrix groups, where a permutation degree would be too wasteful, and
 small permutation groups) together with integer tables over the element
 indices: the right-multiplication table R[i, k] = index(elements[i] *
@@ -112,6 +117,10 @@ def element_closure(identity, gens: Sequence, *, limit: int | None = None,
 # transversals are stored as full permutation matrices up to this many
 # entries (orbit length x degree); beyond that, Schreier vectors
 _FULL_TRANSVERSAL_ENTRIES = 25_000_000
+
+# the stabiliser chain forms image arrays in blocks of at most this many
+# cells (rows x degree): transversal rows, Schreier generators
+_CHAIN_BLOCK_CELLS = 1 << 18
 
 
 def _dtype_for(n: int):
@@ -222,6 +231,16 @@ class Permutation:
             self._hash = hash(self.arr.tobytes())
         return self._hash
 
+    # the cached hash is salted per process, so a pickle carries only the
+    # images and the hash is computed again where it is loaded
+    def __getstate__(self):
+        return self.arr
+
+    def __setstate__(self, arr):
+        arr.setflags(write=False)
+        self.arr = arr
+        self._hash = None
+
     def __repr__(self):
         moved = self.least_moved()
         if moved is None:
@@ -230,76 +249,206 @@ class Permutation:
 
 
 class _Level:
-    """One stabiliser-chain level: base point, generators, transversal.
+    """One stabiliser-chain level: base point, strong generators, orbit.
 
-    own holds the strong generators first stored at this level; the
-    orbit and transversal are built from the cumulative set (this level
-    and every deeper one), which rebuild receives and keeps in gens.
+    gens are the strong generators that fix every earlier base point, in
+    insertion order; stack holds their image arrays as rows.  The orbit
+    of the base and its transversal only grow: ``add`` extends the orbit
+    breadth-first from the points already in it and keeps their rows, so
+    a Schreier generator that once sifted to the identity keeps doing so.
+    done[k] is the watermark of gens[k]: the Schreier generators of gens[k]
+    at the orbit positions below it have been sifted.
+
+    Orbit position i holds the point orbit[i], reached from position
+    parent[i] by gens[via[i]]; trans[i] is the image array of the
+    transversal element u with base^u = orbit[i].  Past
+    ``_FULL_TRANSVERSAL_ENTRIES`` cells trans is None, and rows are walked
+    from the Schreier vector (parent, via) when asked for.  Inverse rows
+    of a full transversal are cached as they are first needed.
     """
 
-    __slots__ = ("base", "own", "gens", "pos", "order_of", "trans", "prev")
+    __slots__ = ("base", "gens", "stack", "done", "orbit", "pos", "parent",
+                 "via", "trans", "inv", "has_inv")
 
-    def __init__(self, base: int):
+    def __init__(self, base: int, degree: int):
+        dtype = _dtype_for(degree)
         self.base = base
-        self.own: list[Permutation] = []
         self.gens: list[Permutation] = []
-        self.pos: dict[int, int] = {}
-        self.order_of: list[int] = []
-        self.trans = None  # orbit x degree matrix, or None
-        self.prev = None   # Schreier vector [(gen_idx, prev_point)]
-
-    def rebuild(self, degree: int, gens: list):
-        self.gens = list(gens)
-        base = self.base
-        pos = {base: 0}
-        order_of = [base]
-        prev = {base: None}
-        i = 0
-        while i < len(order_of):
-            a = order_of[i]
-            for gi, g in enumerate(self.gens):
-                b = int(g.arr[a])
-                if b not in pos:
-                    pos[b] = len(order_of)
-                    order_of.append(b)
-                    prev[b] = (gi, a)
-            i += 1
-        self.pos = pos
-        self.order_of = order_of
-        self.prev = prev
-        if len(order_of) * degree <= _FULL_TRANSVERSAL_ENTRIES:
-            trans = np.empty((len(order_of), degree), dtype=_dtype_for(degree))
-            trans[0] = np.arange(degree, dtype=trans.dtype)
-            for k, b in enumerate(order_of):
-                if k == 0:
-                    continue
-                gi, a = prev[b]
-                # u_b = u_a * g : apply u_a then g
-                trans[k] = self.gens[gi].arr[trans[pos[a]]]
-            self.trans = trans
-        else:
-            self.trans = None
+        self.stack = np.empty((0, degree), dtype=dtype)
+        self.done: list[int] = []
+        self.orbit = np.array([base], dtype=np.intp)
+        self.pos = np.full(degree, -1, dtype=np.intp)
+        self.pos[base] = 0
+        self.parent = np.zeros(1, dtype=np.intp)
+        self.via = np.zeros(1, dtype=np.intp)
+        self.trans = np.arange(degree, dtype=dtype)[None, :]
+        self.inv = None
+        self.has_inv = np.zeros(1, dtype=bool)
 
     def orbit_size(self) -> int:
-        return len(self.order_of)
+        return len(self.orbit)
 
-    def u_arr(self, point: int) -> np.ndarray:
-        """Image array of a transversal element u with base^u = point."""
-        k = self.pos[point]
+    def add(self, g: Permutation):
+        """Append a strong generator, and grow the orbit breadth-first:
+        the points already there under g, then each new layer under every
+        generator, in (point, generator) order."""
+        k = len(self.gens)
+        self.gens.append(g)
+        self.stack = np.vstack([self.stack, g.arr[None, :]])
+        self.done.append(0)
+        old = size = len(self.orbit)
+        seen = self.pos >= 0
+        front = np.arange(old)
+        front_points = self.orbit
+        gidx = np.array([k])
+        layers = []
+        while front.size:
+            images = self.stack[gidx][:, front_points].T.ravel()
+            fresh = np.flatnonzero(~seen[images])
+            _, first = np.unique(images[fresh], return_index=True)
+            step = fresh[np.sort(first)]
+            front_points = images[step]
+            seen[front_points] = True
+            layers.append((front_points, front[step // len(gidx)],
+                           gidx[step % len(gidx)]))
+            front = np.arange(size, size + len(step))
+            size += len(step)
+            gidx = np.arange(k + 1)
+        if size == old:
+            return
+        points, parents, vias = (np.concatenate(x) for x in zip(*layers))
+        self.pos[points] = np.arange(old, size)
+        self.orbit = np.concatenate([self.orbit, points])
+        self.parent = np.concatenate([self.parent, parents])
+        self.via = np.concatenate([self.via, vias])
+        # inverse rows are cached for one transversal array only
+        self.inv = None
+        self.has_inv = np.zeros(size, dtype=bool)
+        degree = self.stack.shape[1]
+        if self.trans is None or size * degree > _FULL_TRANSVERSAL_ENTRIES:
+            self.trans = None
+            return
+        # the old rows are copied and released before the new ones are made
+        trans = np.empty((size, degree), dtype=self.trans.dtype)
+        trans[:old] = self.trans
+        self.trans = trans
+        # u_b = u_a * g: apply u_a, then g; the rows of a layer come from
+        # the layers before it
+        step = max(1, _CHAIN_BLOCK_CELLS // degree)
+        lo = old
+        for points, _, _ in layers:
+            for s in range(lo, lo + len(points), step):
+                t = slice(s, min(s + step, lo + len(points)))
+                trans[t] = _compose(trans[self.parent[t]],
+                                    self.stack[self.via[t]])
+            lo += len(points)
+
+    def rows(self, positions: np.ndarray) -> np.ndarray:
+        """Transversal rows of the given orbit positions."""
         if self.trans is not None:
-            return self.trans[k]
-        # walk the Schreier vector
-        path = []
-        b = point
-        while self.prev[b] is not None:
-            gi, a = self.prev[b]
-            path.append(gi)
-            b = a
-        deg = self.gens[0].degree
-        arr = np.arange(deg, dtype=self.gens[0].arr.dtype)
-        for gi in reversed(path):
-            arr = self.gens[gi].arr[arr]
-        return arr
+            return self.trans[positions]
+        # u_b = u_cur * w while cur walks up the Schreier vector to the
+        # base: u_cur = u_parent * g turns w into g * w
+        w = np.tile(np.arange(self.stack.shape[1], dtype=self.stack.dtype),
+                    (len(positions), 1))
+        cur = np.array(positions, dtype=np.intp)
+        live = np.flatnonzero(cur)
+        while live.size:
+            w[live] = _compose(self.stack[self.via[cur[live]]], w[live])
+            cur[live] = self.parent[cur[live]]
+            live = live[cur[live] != 0]
+        return w
+
+    def inverse_rows(self, positions: np.ndarray) -> np.ndarray:
+        """Inverses of the transversal rows of the given orbit positions."""
+        if self.trans is None:
+            return _invert_rows(self.rows(positions))
+        need = ~self.has_inv[positions]
+        if np.count_nonzero(need):
+            missing = np.unique(positions[need])
+            if self.inv is None:
+                self.inv = np.empty_like(self.trans)
+            self.inv[missing] = _invert_rows(self.trans[missing])
+            self.has_inv[missing] = True
+        return self.inv[positions]
+
+    def schreier_block(self):
+        """The next unchecked Schreier generators as (block, spans), or
+        None: block holds the image arrays of u_b * g, and spans the
+        (generator index, first position, stop) of its rows in order."""
+        size, degree = len(self.orbit), self.stack.shape[1]
+        room = max(1, _CHAIN_BLOCK_CELLS // degree)
+        spans = []
+        for k, lo in enumerate(self.done):
+            if lo < size and room:
+                hi = min(size, lo + room)
+                spans.append((k, lo, hi))
+                room -= hi - lo
+        if not spans:
+            return None
+        blocks = [np.take(self.stack[k], self.rows(np.arange(lo, hi)))
+                  for k, lo, hi in spans]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks), spans
+
+    def mark(self, spans, checked: int):
+        """Advance the watermarks over the first ``checked`` block rows."""
+        for k, lo, hi in spans:
+            self.done[k] = lo + min(hi - lo, max(0, checked))
+            checked -= hi - lo
+
+
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products a[r] * b[r] of two blocks of image arrays:
+    apply a[r], then b[r]."""
+    offsets = np.arange(0, b.size, b.shape[1], dtype=np.intp)[:, None]
+    return b.ravel().take(a + offsets)
+
+
+def _invert_rows(rows: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(rows)
+    inv[np.arange(len(rows))[:, None], rows] = np.arange(rows.shape[1],
+                                                         dtype=rows.dtype)
+    return inv
+
+
+def _sift(levels: list[_Level], block: np.ndarray, start: int = 0):
+    """Sift each row of ``block`` (image arrays) through levels[start:].
+
+    Returns (stop, residues): stop[r] is -1 when row r sifts to the
+    identity, else the level at which its residue, residues[r], falls out
+    of the chain (len(levels) when it passes every level).  The last
+    level compares with its transversal rows instead of dividing by them,
+    so the bottom level needs inverse rows only for rows that fail there.
+    """
+    stop = np.full(len(block), -1, dtype=np.intp)
+    residues = {}
+
+    def fail(rows, i, cur):
+        stop[rows] = i
+        residues.update(zip(rows.tolist(), cur))
+
+    alive = np.arange(len(block))
+    cur = block
+    for i in range(start, len(levels)):
+        lv = levels[i]
+        p = lv.pos[cur[:, lv.base]]
+        out = p < 0
+        if np.count_nonzero(out):
+            fail(alive[out], i, cur[out])
+            alive, cur, p = alive[~out], cur[~out], p[~out]
+            if not alive.size:
+                return stop, residues
+        if i == len(levels) - 1:
+            bad = (cur != lv.rows(p)).any(axis=1)
+            if np.count_nonzero(bad):
+                fail(alive[bad], len(levels),
+                     _compose(cur[bad], lv.inverse_rows(p[bad])))
+            return stop, residues
+        # cur * u^-1: apply cur, then u^-1
+        cur = _compose(cur, lv.inverse_rows(p))
+    bad = (cur != np.arange(block.shape[1], dtype=block.dtype)).any(axis=1)
+    fail(alive[bad], len(levels), cur[bad])
+    return stop, residues
 
 
 class PermGroup:
@@ -331,83 +480,59 @@ class PermGroup:
     # -- stabiliser chain ------------------------------------------------
 
     def _chain(self) -> list[_Level]:
+        """Incremental Schreier-Sims.  The generators are sifted in; then
+        the unchecked Schreier generators, deepest level first, a block
+        at a time, inserting the first residue of each block that does
+        not sift to the identity."""
         if self._levels is not None:
             return self._levels
-        levels: list[_Level] = [_Level(b) for b in self._base_prefix]
+        levels = [_Level(b, self.degree) for b in self._base_prefix]
 
-        def gens_at(j: int) -> list[Permutation]:
-            return [g for lv in levels[j:] for g in lv.own]
-
-        def rebuild_from(k: int):
-            # a generator stored at level k also enters every level above
-            for j in range(min(k, len(levels) - 1), -1, -1):
-                levels[j].rebuild(self.degree, gens_at(j))
-
-        rebuild_from(len(levels) - 1)
-
-        def sift(g: Permutation, start: int):
-            for i in range(start, len(levels)):
-                lv = levels[i]
-                x = int(g.arr[lv.base])
-                if x not in lv.pos:
-                    return g, i
-                u = lv.u_arr(x)
-                uinv = np.empty_like(u)
-                uinv[u] = np.arange(self.degree, dtype=u.dtype)
-                g = Permutation(uinv[g.arr], _checked=True)
-            return g, len(levels)
-
-        def insert(g: Permutation, i: int):
+        def insert(residue: np.ndarray, i: int):
+            # a copy: the residue is a row of a whole block
+            g = Permutation(residue.copy(), _checked=True)
             if i == len(levels):
-                levels.append(_Level(g.least_moved()))
-            levels[i].own.append(g)
-            rebuild_from(i)
+                levels.append(_Level(g.least_moved(), self.degree))
+            for lv in levels[:i + 1]:
+                lv.add(g)
 
-        pending = deque(self.gens)
-        while pending:
-            g = pending.popleft()
-            residue, i = sift(g, 0)
-            if residue.is_identity():
+        for g in self.gens:
+            stop, residues = _sift(levels, g.arr[None, :])
+            if stop[0] >= 0:
+                insert(residues[0], stop[0])
+        j = len(levels) - 1
+        while j >= 0:
+            found = levels[j].schreier_block()
+            if found is None:
+                j -= 1
                 continue
-            insert(residue, i)
-            # re-close: verify every level's Schreier generators sift to
-            # the identity, inserting residues until stable
-            changed = True
-            while changed:
-                changed = False
-                for j, lv in enumerate(levels):
-                    for b in lv.order_of:
-                        ub = lv.u_arr(b)
-                        for g2 in lv.gens:
-                            c = int(g2.arr[b])
-                            uc = lv.u_arr(c)
-                            ucinv = np.empty_like(uc)
-                            ucinv[uc] = np.arange(self.degree,
-                                                  dtype=uc.dtype)
-                            # u_b * g2 * u_c^{-1}, fixes lv.base
-                            s = Permutation(ucinv[g2.arr[ub]],
-                                            _checked=True)
-                            residue, k = sift(s, j + 1)
-                            if not residue.is_identity():
-                                insert(residue, k)
-                                changed = True
-                                break
-                        if changed:
-                            break
-                    if changed:
-                        break
+            block, spans = found
+            # sifting u_b * g from level j divides it by u_c, c = b^g, at
+            # level j, which leaves the Schreier generator u_b g u_c^-1
+            stop, residues = _sift(levels, block, j)
+            fails = np.flatnonzero(stop >= 0)
+            first = int(fails[0]) if fails.size else len(block)
+            levels[j].mark(spans, first)
+            if fails.size:
+                insert(residues[first], stop[first])
+                j = len(levels) - 1
         self._levels = levels
         self._validate_chain()
         return levels
 
+    def _contains_rows(self, block: np.ndarray) -> np.ndarray:
+        """Membership of each row of a block of image arrays."""
+        return _sift(self._chain(), block)[0] < 0
+
     def _validate_chain(self):
-        for g in self.gens:
-            if not self.contains(g):
-                raise AssertionError("chain rejects a generator")
-        for a in self.gens[:8]:
-            for b in self.gens[:8]:
-                if not self.contains(a * b):
-                    raise AssertionError("chain rejects a generator product")
+        if not self.gens:
+            return
+        if not self._contains_rows(np.stack([g.arr for g in self.gens])).all():
+            raise AssertionError("chain rejects a generator")
+        few = self.gens[:8]
+        products = np.stack([b.arr[a.arr] for a in few for b in few])
+        if not self._contains_rows(products).all():
+            raise AssertionError("chain rejects a generator product")
 
     def order(self) -> int:
         if self._order is None:
@@ -420,16 +545,7 @@ class PermGroup:
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             return False
-        levels = self._chain()
-        for lv in levels:
-            x = int(g.arr[lv.base])
-            if x not in lv.pos:
-                return False
-            u = lv.u_arr(x)
-            uinv = np.empty_like(u)
-            uinv[u] = np.arange(self.degree, dtype=u.dtype)
-            g = Permutation(uinv[g.arr], _checked=True)
-        return g.is_identity()
+        return bool(self._contains_rows(g.arr[None, :])[0])
 
     def base(self) -> list[int]:
         return [lv.base for lv in self._chain()]

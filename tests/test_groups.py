@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -144,6 +147,7 @@ def test_chain_order_matches_closure(data):
     gens = [Permutation(list(pa)), Permutation(list(pb))]
     grp = PermGroup(n, gens)
     assert grp.order() == brute_order(gens, n)
+    assert_chain_matches_oracle(grp, seed=n)
 
 
 def test_contains_and_elements():
@@ -187,6 +191,299 @@ def test_base_prefix_chain():
     g = PermGroup(5, sym(5).gens, base_prefix=(2,))
     assert g.order() == 120
     assert g.base()[0] == 2
+
+
+# -- the stabiliser chain against the former re-close loop ------------------
+
+def _inverse(u):
+    inv = np.empty_like(u)
+    inv[u] = np.arange(len(u))
+    return inv
+
+
+def chain_oracle(degree, gens, base_prefix=()):
+    """The former re-close loop, kept as the oracle for PermGroup's chain.
+
+    Each insertion rebuilds every level's orbit and transversal from
+    scratch; then a sweep sifts every Schreier generator of every level,
+    one at a time through freshly inverted transversal rows, and starts
+    again after each residue it inserts.  Returns the levels as
+    (base point, {orbit point: transversal image array}) pairs.
+    """
+    ident = np.arange(degree)
+    bases = list(base_prefix)
+    own = [[] for _ in bases]
+    trans = []
+
+    def gens_at(j):
+        return [g for lv in own[j:] for g in lv]
+
+    def rebuild():
+        trans.clear()
+        for j, b in enumerate(bases):
+            u = {b: ident}
+            queue = [b]
+            for a in queue:
+                for g in gens_at(j):
+                    c = int(g[a])
+                    if c not in u:
+                        u[c] = g[u[a]]
+                        queue.append(c)
+            trans.append(u)
+
+    def sift(g, start):
+        for i in range(start, len(bases)):
+            x = int(g[bases[i]])
+            if x not in trans[i]:
+                return g, i
+            g = _inverse(trans[i][x])[g]
+        return g, len(bases)
+
+    def insert(g, i):
+        if i == len(bases):
+            bases.append(int(np.flatnonzero(g != ident)[0]))
+            own.append([])
+        own[i].append(g)
+        rebuild()
+
+    def reclose():
+        for j in range(len(bases)):
+            for b, ub in trans[j].items():
+                for g in gens_at(j):
+                    s = _inverse(trans[j][int(g[b])])[g[ub]]
+                    residue, k = sift(s, j + 1)
+                    if (residue != ident).any():
+                        insert(residue, k)
+                        return True
+        return False
+
+    rebuild()
+    for g in gens:
+        residue, i = sift(g.arr.astype(np.intp), 0)
+        if (residue != ident).any():
+            insert(residue, i)
+            while reclose():
+                pass
+    return list(zip(bases, trans))
+
+
+def oracle_order(levels):
+    return math.prod(len(u) for _, u in levels)
+
+
+def oracle_contains(levels, g):
+    g = g.arr.astype(np.intp)
+    for base, u in levels:
+        x = int(g[base])
+        if x not in u:
+            return False
+        g = _inverse(u[x])[g]
+    return bool((g == np.arange(len(g))).all())
+
+
+def random_word(group, rng, length=12):
+    w = Permutation.identity(group.degree)
+    for k in rng.integers(len(group.gens), size=length * bool(group.gens)):
+        w = w * group.gens[k]
+    return w
+
+
+def assert_chain_matches_oracle(group, base_prefix=(), seed=0):
+    """Order and membership agree with the oracle, on random products of
+    the generators and on permutations that are mostly not members."""
+    levels = chain_oracle(group.degree, group.gens, base_prefix)
+    assert group.order() == oracle_order(levels)
+    rng = np.random.default_rng(seed)
+    members = [random_word(group, rng) for _ in range(12)]
+    swap = cyc(group.degree, (0, 1))
+    others = ([Permutation(rng.permutation(group.degree)) for _ in range(12)]
+              + [m * swap for m in members[:6]])
+    assert all(group.contains(m) for m in members)
+    for x in members + others:
+        assert group.contains(x) == oracle_contains(levels, x)
+    if group.order() < math.factorial(group.degree):
+        assert not all(group.contains(x) for x in others)
+
+
+def hypercube_group(k):
+    """C2 wr S_k in its product action on the 2^k vectors of GF(2)^k:
+    a coordinate flip, a transposition and a cycle of the coordinates."""
+    pts = np.arange(2 ** k)
+    bits = (pts[:, None] >> np.arange(k)) & 1
+
+    def permute_coordinates(cols):
+        return Permutation((bits[:, cols] << np.arange(k)).sum(axis=1))
+
+    return PermGroup(2 ** k, [
+        Permutation(pts ^ 1),
+        permute_coordinates([1, 0] + list(range(2, k))),
+        permute_coordinates(list(range(1, k)) + [0]),
+    ])
+
+
+def _aut_of_derived(q):
+    from gquad.incidence import aut_incidence
+    return aut_incidence(build_derived_model(GF.default(q)).gq)
+
+
+def _stabiliser_ambient(q):
+    from gquad.constructions import ambient_stabiliser
+    model = build_derived_model(GF.default(q))
+    return ambient_stabiliser(model.field, model.gq)
+
+
+def _gu513_regular():
+    from gquad.constructions import build_gu513
+    return build_gu513()[0]
+
+
+CHAIN_CASES = {
+    **{f"S{n}": (lambda n=n: sym(n)) for n in range(2, 8)},
+    **{f"aut-q{q}": (lambda q=q: _aut_of_derived(q)) for q in (2, 3, 4, 5)},
+    **{f"stabiliser-q{q}": (lambda q=q: _stabiliser_ambient(q))
+       for q in (2, 3, 4, 5, 7)},
+    "gu513-regular": _gu513_regular,
+    "c2-wr-s9": lambda: hypercube_group(9),
+}
+
+
+def sparse_generators(rng, n, count):
+    """Permutations of n points that each cycle a few of them, so that the
+    groups they generate are mostly neither S_n nor A_n."""
+    gens = []
+    for _ in range(count):
+        images = np.arange(n)
+        pts = rng.choice(n, size=rng.integers(2, min(n, 5) + 1), replace=False)
+        images[pts] = np.roll(pts, -1)
+        gens.append(Permutation(images))
+    return gens
+
+
+def test_chain_matches_oracle_on_sparse_random_groups():
+    rng = np.random.default_rng(0)
+    for trial in range(300):
+        n = int(rng.integers(4, 13))
+        gens = sparse_generators(rng, n, int(rng.integers(1, 4)))
+        assert_chain_matches_oracle(PermGroup(n, gens), seed=trial)
+
+
+@pytest.mark.parametrize("name", list(CHAIN_CASES))
+def test_chain_matches_oracle(name):
+    group = CHAIN_CASES[name]()
+    # a fresh group, so the chain is built here and not by its maker
+    assert_chain_matches_oracle(PermGroup(group.degree, group.gens))
+
+
+def test_hypercube_group_order():
+    for k in range(2, 10):
+        assert hypercube_group(k).order() == 2 ** k * math.factorial(k)
+
+
+@pytest.mark.parametrize("prefix", [(2,), (4, 0), (0, 1, 2)])
+def test_base_prefix_chain_matches_oracle(prefix):
+    for group in (sym(6), hypercube_group(4), _stabiliser_ambient(3)):
+        g = PermGroup(group.degree, group.gens, base_prefix=prefix)
+        assert g.base()[:len(prefix)] == list(prefix)
+        assert_chain_matches_oracle(g, prefix)
+
+
+def test_point_stabilizer_matches_oracle():
+    for group in (sym(6), hypercube_group(5), _stabiliser_ambient(3)):
+        for x in (0, 3):
+            st = group.point_stabilizer(x)
+            assert all(g.apply(x) == x for g in st.gens)
+            # st carries its order from the chain with base (x,), and
+            # builds its own chain for contains
+            assert_chain_matches_oracle(st)
+            assert st.order() == group.order() // len(group.orbit(x))
+
+
+def test_schreier_vector_fallback_matches_full_transversals(monkeypatch):
+    import gquad.groups as groups
+    from gquad.constructions import (action_from_linear, elation_gens,
+                                     shear_gens, unipotent_gens)
+    model = build_derived_model(GF.default(3))
+    subs = [action_from_linear(model.field, gens(model.field), model.gq)
+            for gens in (elation_gens, shear_gens, unipotent_gens)]
+    cases = [sym(6), hypercube_group(6), _stabiliser_ambient(3),
+             _aut_of_derived(3)]
+    full = [PermGroup(g.degree, g.gens) for g in cases]
+    for g in full:
+        g.order()
+    # orbit x degree past 200 cells drops to Schreier vectors: the first
+    # levels of every case, but not the deeper ones
+    monkeypatch.setattr(groups, "_FULL_TRANSVERSAL_ENTRIES", 200)
+    kinds = set()
+    rng = np.random.default_rng(7)
+    for g, f in zip(cases, full):
+        sv = PermGroup(g.degree, g.gens)
+        assert sv.order() == f.order()
+        assert sv.base() == f.base()
+        kinds |= {lv.trans is None for lv in sv._chain()}
+        members = [random_word(g, rng) for _ in range(12)]
+        others = [Permutation(rng.permutation(g.degree)) for _ in range(12)]
+        assert all(sv.contains(m) for m in members)
+        for x in others:
+            assert sv.contains(x) == f.contains(x)
+        if g.degree == 27:
+            for h in subs:
+                assert groups.subgroup_key(sv, h) == groups.subgroup_key(f, h)
+    assert kinds == {True, False}
+
+
+def test_gu513_chain_makes_few_permutations(monkeypatch):
+    group = _gu513_regular()
+    calls = 0
+    real = Permutation.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Permutation, "__init__", counting)
+    assert group.order() == 4617
+    # the chain works on blocks of image arrays; only the strong
+    # generators become Permutation objects
+    assert calls <= 64
+
+
+PEAK_RSS_SCRIPT = """
+from gquad.constructions import build_gu513
+
+
+def status(field):
+    # VmHWM is the peak of this process's own memory map; ru_maxrss would
+    # also count the parent it was forked from
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith(field + ":"))
+    return int(line.split()[1]) * 1024
+
+
+group, _ = build_gu513()
+before = status("VmRSS")
+group.order()
+print(status("VmHWM"), before, sum(lv.trans.nbytes for lv in group._chain()))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/status")
+def test_gu513_chain_peak_rss():
+    import gquad
+    src = os.path.dirname(os.path.dirname(gquad.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    peak, before, trans = map(int, done.stdout.split())
+    mib = 1 << 20
+    # the former re-close loop peaked at 103.5 MiB in this script (Linux
+    # x86-64, numpy 2.4), 0.6 MiB above its RSS before order() and the
+    # transversal it keeps; a full inverse transversal would add 40 MiB
+    assert peak <= 103.5 * mib
+    assert peak - before <= trans + mib
 
 
 # -- regularity -------------------------------------------------------------

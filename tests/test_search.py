@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
 
+import gquad
 import gquad.groups
 import gquad.search
 
@@ -207,6 +211,46 @@ def test_classify_searches_up_to_its_bound(q2, monkeypatch):
     assert all(kwargs == {"max_order": 5000} for _, _, kwargs, _ in calls)
     assert [c.iso_class for c in table.classes] == [0, 1, 2, 2]
     assert table.notes == []
+
+
+PICKLE_TABLE = """
+import pickle, sys
+from gquad.constructions import (action_from_linear, ambient_stabiliser,
+                                 build_derived_model, unipotent_gens)
+from gquad.gf import GF
+from gquad.search import enumerate_regular
+model = build_derived_model(GF.default(2))
+amb = ambient_stabiliser(model.field, model.gq)
+t = action_from_linear(model.field, unipotent_gens(model.field), model.gq)
+with open(sys.argv[1], "wb") as fh:
+    pickle.dump(enumerate_regular(model.gq, amb, sylow=t), fh)
+"""
+
+CLASSIFY_PICKLED = """
+import pickle, sys
+from gquad.search import classify_classes
+with open(sys.argv[1], "rb") as fh:
+    table = pickle.load(fh)
+print(*[c.iso_class for c in classify_classes(table).classes])
+"""
+
+
+def test_pickled_table_classifies_under_another_hash_seed(tmp_path):
+    # a Permutation's hash is salted per process: a table pickled in one
+    # process must still classify in another, where its two dihedral
+    # classes share a fingerprint and so are searched for an isomorphism
+    src = os.path.dirname(os.path.dirname(gquad.__file__))
+    path = tmp_path / "table.pkl"
+    outputs = []
+    for seed, script in (("1", PICKLE_TABLE), ("2", CLASSIFY_PICKLED)):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, str(path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    assert outputs[1] == ["0", "1", "2", "2"]
 
 
 def test_enumerate_q2_deterministic(q2):
