@@ -453,7 +453,10 @@ def build_gu513() -> tuple[PermGroup, Quadrangle]:
     def collinear(lo, hi):
         return is_singular[pts[lo:hi, None] ^ pts[None, lo + 1:]]
 
-    rows = line_rows(look, multiples, np.bitwise_xor, collinear)
+    def span_codes(i, j):
+        return multiples[i, :1] ^ multiples[j]
+
+    rows = line_rows(look, multiples, span_codes, collinear)
     # tuples straight from the columns: a throwaway list per row leaves
     # freed lists spread over the object allocator's arenas, and a long
     # run of builds then holds on to more memory

@@ -122,6 +122,10 @@ _FULL_TRANSVERSAL_ENTRIES = 25_000_000
 # cells (rows x degree): transversal rows, Schreier generators
 _CHAIN_BLOCK_CELLS = 1 << 18
 
+# numpy's take copies its indices to intp; ``_take_rows`` gathers a block
+# in slices of at most this many cells, so that copy stays near 0.5 MiB
+_TAKE_CELLS = 1 << 16
+
 
 def _dtype_for(n: int):
     return np.uint16 if n <= 0xFFFF else np.uint32
@@ -386,7 +390,8 @@ class _Level:
                 room -= hi - lo
         if not spans:
             return None
-        blocks = [np.take(self.stack[k], self.rows(np.arange(lo, hi)))
+        blocks = [_take_rows(self.stack[k],
+                             self.rows(np.arange(lo, hi)), 0)
                   for k, lo, hi in spans]
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks), spans
 
@@ -397,11 +402,23 @@ class _Level:
             checked -= hi - lo
 
 
+def _take_rows(src: np.ndarray, idx: np.ndarray, stride: int) -> np.ndarray:
+    """out[r] = src.ravel()[idx[r] + r * stride], gathered a slice of at
+    most ``_TAKE_CELLS`` cells at a time."""
+    flat = src.ravel()
+    out = np.empty(idx.shape, dtype=src.dtype)
+    step = max(1, _TAKE_CELLS // max(1, idx.shape[1]))
+    for lo in range(0, len(idx), step):
+        rows = np.arange(lo, min(lo + step, len(idx)), dtype=np.intp)
+        flat.take(idx[lo:lo + step] + (rows * stride)[:, None],
+                  out=out[lo:lo + step])
+    return out
+
+
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise products a[r] * b[r] of two blocks of image arrays:
     apply a[r], then b[r]."""
-    offsets = np.arange(0, b.size, b.shape[1], dtype=np.intp)[:, None]
-    return b.ravel().take(a + offsets)
+    return _take_rows(b, a, b.shape[1])
 
 
 def _invert_rows(rows: np.ndarray) -> np.ndarray:
@@ -1073,20 +1090,27 @@ def report_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _check_inside(ambient: PermGroup, sub: PermGroup):
-    for s in sub.gens:
-        if not ambient.contains(s):
-            raise ValueError("subgroup generator outside ambient group")
+    """Raise ValueError unless every subgroup generator, all sifted as
+    one block, lies in the ambient group."""
+    if not sub.gens:
+        return
+    if sub.degree != ambient.degree or not ambient._contains_rows(
+            np.stack([s.arr for s in sub.gens])).all():
+        raise ValueError("subgroup generator outside ambient group")
 
 
 def is_normal(ambient: PermGroup, sub: PermGroup) -> bool:
-    """True iff the subgroup is normal in the ambient group."""
+    """True iff the subgroup is normal in the ambient group: every
+    conjugate g^-1 s g of a subgroup generator s by an ambient generator
+    g, sifted as one block, lies in the subgroup."""
     _check_inside(ambient, sub)
-    for g in ambient.gens:
-        gi = g.inverse()
-        for s in sub.gens:
-            if not sub.contains(gi * s * g):
-                return False
-    return True
+    if not (ambient.gens and sub.gens):
+        return True
+    stack = np.stack([s.arr for s in sub.gens])
+    # apply g^-1, then s, then g
+    conjugates = np.concatenate([g.arr[stack[:, g.inverse().arr]]
+                                 for g in ambient.gens])
+    return bool(sub._contains_rows(conjugates).all())
 
 
 def _conjugate_keyer(ambient: PermGroup, sub: PermGroup):

@@ -580,23 +580,24 @@ def code_lookup(multiples: np.ndarray, size: int) -> np.ndarray:
     return look
 
 
-def line_rows(look: np.ndarray, multiples: np.ndarray, add_codes,
+def line_rows(look: np.ndarray, multiples: np.ndarray, span_codes,
               collinear) -> np.ndarray:
     """Every line through two collinear points, as sorted index rows.
 
     The points are numbered in ascending order of their codes.
     multiples[i] holds the codes of the q-1 nonzero scalar multiples of
     point i, its own code first; look maps each of them back to i (see
-    ``code_lookup``), add_codes adds two code arrays as vectors, and
-    collinear(lo, hi) is the boolean matrix of "point i is collinear
-    with point j" for i in [lo, hi) and j > lo.  For each pair i < j the
-    other q-1 points i + c*j of its line come from one lookup; the pair
-    is kept only when j is the least of them, so each line is emitted
-    once, as the row (i, j, others ascending), and the rows ascend.
+    ``code_lookup``), span_codes(i, j) gives for two arrays of point
+    indices the codes of the vectors i + c*j, one row of q-1 per pair in
+    the order of ``multiples``, and collinear(lo, hi) is the boolean
+    matrix of "point i is collinear with point j" for i in [lo, hi) and
+    j > lo.  For each pair i < j the other q-1 points i + c*j of its line
+    come from one lookup; the pair is kept only when j is the least of
+    them, so each line is emitted once, as the row (i, j, others
+    ascending), and the rows ascend.
     Chunks of rows keep every temporary near ``_CHUNK_CELLS`` cells.
     """
     n_pts, width = multiples.shape
-    codes = multiples[:, 0]
     step = max(1, _CHUNK_CELLS // max(1, n_pts))
     out = []
     for lo in range(0, n_pts, step):
@@ -604,7 +605,7 @@ def line_rows(look: np.ndarray, multiples: np.ndarray, add_codes,
         i, j = r + lo, c + lo + 1
         later = j > i
         i, j = i[later], j[later]
-        others = look[add_codes(codes[i, None], multiples[j])]
+        others = look[span_codes(i, j)]
         least = others.min(axis=1)
         if (least < 0).any():
             raise AssertionError("a point of a singular line is not singular")
@@ -634,18 +635,24 @@ def singular_line_rows(form, points: Sequence[Sequence[int]]) -> np.ndarray:
     mul, add = k.mul_table, k.add_table
     digits = np.asarray(points, dtype=np.int64).reshape(-1, n)
     weights = _code_weights(q, n)
-    multiples = np.stack([mul[c][digits].astype(np.int64) @ weights
-                          for c in range(1, q)], axis=1)
+    # the coordinates of every scalar multiple c*p, c = 1..q-1, of every
+    # point p, gathered once
+    scaled = np.stack([mul[c][digits] for c in range(1, q)],
+                      axis=1).astype(np.intp)
+    multiples = scaled @ weights
     look = code_lookup(multiples, q**n)
     if k.p == 2:
-        add_codes = np.bitwise_xor      # coordinates are bit fields
+        def span_codes(i, j):
+            return multiples[i, :1] ^ multiples[j]  # bit-field coordinates
     else:
-        def add_codes(a, b):
-            out = np.zeros(np.broadcast_shapes(a.shape, b.shape),
-                           dtype=np.int64)
-            for w in weights.tolist():
-                out += add[a // w % q, b // w % q].astype(np.int64) * w
-            return out
+        # i + c*j adds coordinates through the flattened addition table,
+        # at q * (coordinate of i) + (coordinate of c*j)
+        flat_add = add.ravel()
+        rows = digits * q
+
+        def span_codes(i, j):
+            return (flat_add[rows[i, None] + scaled[j]].astype(np.int64)
+                    @ weights)
 
     # coefficients of the linear form w -> B(p, w) for every point p
     gram = form.gram if isinstance(form, AlternatingForm) else form.polar_gram
@@ -675,7 +682,7 @@ def singular_line_rows(form, points: Sequence[Sequence[int]]) -> np.ndarray:
         bottom = neg[partial(cf[:, h:], tail_digits)]
         return top[:, head[lo + 1:]] == bottom[:, tail[lo + 1:]]
 
-    return line_rows(look, multiples, add_codes, collinear)
+    return line_rows(look, multiples, span_codes, collinear)
 
 
 def enumerate_singular(form, dim: int) -> list[Subspace]:

@@ -1088,6 +1088,54 @@ def test_is_normal():
         is_normal(alt(4), PermGroup(4, [cyc(4, (0, 1))]))
 
 
+def is_normal_oracle(ambient, sub):
+    """The former normality test: one ``contains`` call per element."""
+    for s in sub.gens:
+        if not ambient.contains(s):
+            raise ValueError("subgroup generator outside ambient group")
+    for g in ambient.gens:
+        gi = g.inverse()
+        for s in sub.gens:
+            if not sub.contains(gi * s * g):
+                return False
+    return True
+
+
+def _same_normality(ambient, sub):
+    try:
+        want = is_normal_oracle(ambient, sub)
+    except ValueError:
+        with pytest.raises(ValueError):
+            is_normal(ambient, sub)
+        return None
+    assert is_normal(ambient, sub) is want
+    return want
+
+
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_is_normal_matches_per_element_oracle(q):
+    aut = _aut_of_derived(q)
+    e, p, t = _model_groups(q)
+    # the E/P normality contrast in the full automorphism group
+    assert _same_normality(aut, e) is True
+    assert _same_normality(aut, p) is False
+    assert _same_normality(aut, t) is False
+    assert _same_normality(t, e) is True
+    # P is not inside E: the membership check raises on both routes
+    assert _same_normality(e, p) is None
+    assert _same_normality(aut, PermGroup(aut.degree)) is True
+
+
+def test_is_normal_matches_oracle_on_small_groups():
+    s4 = sym(4)
+    syl = PermGroup(4, [cyc(4, range(4)), Permutation([0, 3, 2, 1])])
+    assert _same_normality(s4, syl) is False
+    assert _same_normality(s4, alt(4)) is True
+    assert _same_normality(alt(4), PermGroup(4, [cyc(4, (0, 1))])) is None
+    assert _same_normality(s4, PermGroup(5, [cyc(5, (0, 1))])) is None
+    assert _same_normality(PermGroup(4), PermGroup(4)) is True
+
+
 def test_conjugate_subgroups():
     s4 = sym(4)
     h1 = PermGroup(4, [cyc(4, (0, 1))])

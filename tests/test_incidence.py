@@ -283,6 +283,145 @@ def test_aut_w33():
     assert g.order() == 51840
 
 
+def test_not_isomorphic_same_parameters():
+    # W(3,q) and its dual Q(4,q) both have 40 points and 40 lines at q=3
+    # but are not isomorphic for odd q: the joint refinement of the
+    # search has to exhaust every branch and answer None
+    w = build_w3(GF.default(3))
+    d = dual(w)
+    assert (d.n_points, d.n_lines) == (w.n_points, w.n_lines)
+    assert gq_isomorphic(w, d) is None
+    assert gq_isomorphic(d, d) is not None
+
+
+# -- colour refinement against the dense oracle ------------------------------
+
+def adjacency_oracle(gq: Quadrangle) -> np.ndarray:
+    """The former dense n x n collinearity matrix."""
+    adj = np.zeros((gq.n_points, gq.n_points), dtype=bool)
+    for i, nb in enumerate(gq.neighbors()):
+        adj[i, nb] = True
+    return adj
+
+
+def refine_oracle(adj_a, adj_b, col_a, col_b):
+    """The former dense joint colour refinement: one boolean matvec per
+    colour per round, signature rows unique'd as int64 rows."""
+    while True:
+        palette = int(max(col_a.max(), col_b.max())) + 1
+        sig_a = [col_a]
+        sig_b = [col_b]
+        for c in range(palette):
+            sig_a.append(adj_a @ (col_a == c))
+            sig_b.append(adj_b @ (col_b == c))
+        both = np.concatenate([np.stack(sig_a, axis=1),
+                               np.stack(sig_b, axis=1)])
+        _, inverse = np.unique(both, axis=0, return_inverse=True)
+        new_a = inverse[:len(col_a)].astype(np.int64)
+        new_b = inverse[len(col_a):].astype(np.int64)
+        ca = np.bincount(new_a, minlength=int(inverse.max()) + 1)
+        cb = np.bincount(new_b, minlength=int(inverse.max()) + 1)
+        if not (ca == cb).all():
+            return None
+        if len(np.unique(new_a)) == len(np.unique(col_a)):
+            return new_a, new_b
+        col_a, col_b = new_a, new_b
+
+
+def extract_map_oracle(adj_a, adj_b, col_a, col_b):
+    """The former dense check of a discrete colouring's map."""
+    order_a = np.argsort(col_a, kind="stable")
+    order_b = np.argsort(col_b, kind="stable")
+    perm = np.empty(len(col_a), dtype=np.int64)
+    perm[order_a] = order_b
+    if (adj_b[perm][:, perm] == adj_a).all():
+        return perm
+    return None
+
+
+def _relabelled(gq: Quadrangle, relab) -> Quadrangle:
+    """gq with point p renamed relab[p]."""
+    return Quadrangle(gq.n_points, [tuple(int(relab[p]) for p in line)
+                                    for line in gq.lines],
+                      s=gq.s, t=gq.t, name=f"relabelled {gq.name}")
+
+
+def _refinement_cases():
+    w33 = build_w3(GF.default(3))
+    cases = [build_w3(GF.default(2)), build_qminus5(GF.default(2)), w33]
+    cases += [payne_derive(build_w3(GF.default(q)), 0) for q in (2, 3, 4, 5)]
+    relab = np.random.default_rng(5).permutation(cases[-2].n_points)
+    return cases + [_relabelled(cases[-2], relab), dual(w33)]
+
+
+def _same_refinement(ga, gb, col_a, col_b):
+    import gquad.incidence as incidence
+    want = refine_oracle(adjacency_oracle(ga), adjacency_oracle(gb),
+                         col_a, col_b)
+    got = incidence._refine_pair(ga.edges(), gb.edges(), col_a, col_b)
+    if want is None:
+        assert got is None
+        return False
+    assert got is not None
+    for w, g in zip(want, got):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    return True
+
+
+def test_refinement_matches_dense_oracle():
+    rng = np.random.default_rng(8)
+    cases = _refinement_cases()
+    outcomes = set()
+    for gq in cases:
+        n = gq.n_points
+        for k in (1, 2, 3, n // 4):
+            col = rng.integers(0, k, n)
+            # single graph: one colouring on both sides
+            outcomes.add(_same_refinement(gq, gq, col, col.copy()))
+            # joint: a second colouring, usually with other class sizes
+            # after a few rounds, so the oracle often answers None
+            outcomes.add(_same_refinement(gq, gq, col,
+                                          rng.permutation(col)))
+        # joint: a relabelled copy with the colouring carried over
+        relab = rng.permutation(n)
+        col = rng.integers(0, 3, n)
+        moved = np.empty_like(col)
+        moved[relab] = col
+        assert _same_refinement(gq, _relabelled(gq, relab), col, moved)
+    # joint pairs of different quadrangles with equal point counts
+    w33, d = cases[2], cases[-1]
+    for k in (1, 2, 5):
+        col = rng.integers(0, k, w33.n_points)
+        outcomes.add(_same_refinement(w33, d, col, col.copy()))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_aut_generators_match_dense_oracle_search(q, monkeypatch):
+    import gquad.incidence as incidence
+    der = payne_derive(build_w3(GF.default(q)), 0)
+    relab = np.random.default_rng(q).permutation(der.n_points)
+    for gq in (der, _relabelled(der, relab)):
+        got = [g.arr.tobytes() for g in aut_incidence(gq).gens]
+        with monkeypatch.context() as m:
+            m.setattr(incidence, "_graph_edges", adjacency_oracle)
+            m.setattr(incidence, "_refine_pair", refine_oracle)
+            m.setattr(incidence, "_extract_map", extract_map_oracle)
+            want = [g.arr.tobytes() for g in aut_incidence(gq).gens]
+        assert got == want
+
+
+def test_edges_give_the_neighbour_lists():
+    for gq in (grid33(), build_w3(GF.default(3)),
+               Quadrangle(4, [(0, 1, 2), (0, 1, 3)])):
+        src, dst = gq.edges()
+        codes = src.astype(np.int64) * gq.n_points + dst
+        assert np.array_equal(codes, np.unique(codes))
+        want = [sorted({b for line in gq.lines if a in line for b in line}
+                       - {a}) for a in range(gq.n_points)]
+        assert [nb.tolist() for nb in gq.neighbors()] == want
+
+
 # -- files -------------------------------------------------------------------
 
 def test_gq_file_roundtrip(tmp_path):
