@@ -481,8 +481,7 @@ def build_gu513() -> tuple[PermGroup, Quadrangle]:
 def _field_luts(field: GF):
     add = field.add_table.astype(np.int64)
     mul = field.mul_table.astype(np.int64)
-    neg = np.array([field.neg(v) for v in field.elements()],
-                   dtype=np.int64)
+    neg = np.array(field.scalar_tables()[2], dtype=np.int64)
     return add, mul, neg
 
 

@@ -8,23 +8,24 @@ opens it, after any base_prefix.  Each level's orbit and transversal
 only grow, breadth-first with numpy gathers, so every Schreier generator
 u_b g u_{b^g}^-1 is formed and sifted once, in blocks of image-array
 rows; the bottom level tests u_b g == u_{b^g} with no inverse at all.
-FiniteGroup is the element closure of anything with * and ==
-(matrix groups, where a permutation degree would be too wasteful, and
-small permutation groups) together with integer tables over the element
+FiniteGroup is the element closure of matrices or permutations (matrix
+groups, where a permutation degree would be too wasteful, and small
+permutation groups) together with integer tables over the element
 indices: the right-multiplication table R[i, k] = index(elements[i] *
-gens[k]), filled by the only element products made after the closure,
-and the closure-tree word of each element, which multiplies index arrays
-by walks through R.  Element orders, the centre, conjugacy classes,
-subgroup and normal closures, the lower central series, power and
-Frattini subgroups and isomorphisms are all computed from them with
-numpy.
+gens[k]), which the closure fills as it goes, and the closure-tree word
+of each element, which multiplies index arrays by walks through R.
+Element orders, the centre, conjugacy classes, subgroup and normal
+closures, the lower central series, power and Frattini subgroups and
+isomorphisms are all computed from them with numpy; no element products
+are made after the closure.
 
-``element_closure`` is the one closure over element objects: PermGroup
-elements, FiniteGroup elements and the search's lazy element walks all
-come from it.  Its order is a contract: the identity first, then
-out[i] * g for i ascending and g in generator order, each product kept
-only when new, so every element after the identity is an earlier element
-times a generator.
+``element_closure`` is the one element closure: PermGroup elements,
+FiniteGroup elements and the search's lazy element walks all come from
+it.  It multiplies blocks of element code rows by every generator at
+once and keys the products exactly.  Its order is a contract: the
+identity first, then out[i] * g for i ascending and g in generator
+order, each product kept only when new, so every element after the
+identity is an earlier element times a generator.
 
 Commutators are [g, h] = g^-1 h^-1 g h throughout.
 """
@@ -40,6 +41,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .gf import _factorise
+from .linalg import Mat, mat_mul_batch
 from .textfile import read_int_file
 
 __all__ = [
@@ -92,26 +94,150 @@ UNKNOWN = _Unknown()
 
 
 def element_closure(identity, gens: Sequence, *, limit: int | None = None,
-                    clock=None):
-    """Lazily yield the group generated by ``gens``, in the closure order
-    of the module docstring.  Raises ``TooLargeError`` on a new element
-    past ``limit`` elements; ticks ``clock`` once per new element."""
-    out = [identity]
-    seen = {identity}
-    yield identity
-    i = 0
-    while i < len(out):
-        for g in gens:
-            h = out[i] * g
-            if h not in seen:
-                if limit is not None and len(out) >= limit:
+                    clock=None) -> "_Closure":
+    """The group generated by ``gens`` (Permutations or square Mats), as
+    a lazy walk in the closure order of the module docstring.
+
+    Iterating the walk yields the elements; it raises ``TooLargeError`` on
+    a new element past ``limit`` elements and ticks ``clock`` once per new
+    element.  Once the walk is exhausted, ``walk.right()`` is the
+    right-multiplication table R[i, k] = index(elements[i] * gens[k]).
+    """
+    return _Closure(identity, gens, limit, clock)
+
+
+# the closure multiplies blocks of at most this many product cells
+# (rows x generators x row width)
+_CLOSURE_BLOCK_CELLS = 1 << 18
+
+
+def _row_keys(radix: int, width: int):
+    """A function from a block of code rows (``width`` entries below
+    ``radix`` each) to the list of their exact keys: one int64 word per
+    row when it holds the row, else the bytes of as many words as needed.
+    """
+    radix = max(radix, 2)
+    per = 1
+    while per < width and radix ** (per + 1) <= 2 ** 63:
+        per += 1
+    words = -(-width // per)
+    weights = radix ** np.arange(per - 1, -1, -1, dtype=np.int64)
+    void = np.dtype((np.void, 8 * words))
+
+    def keys(rows: np.ndarray) -> list:
+        if words * per != width:
+            padded = np.zeros((len(rows), words * per), dtype=rows.dtype)
+            padded[:, :width] = rows
+            rows = padded
+        codes = rows.reshape(len(rows), words, per) @ weights
+        return (codes[:, 0] if words == 1
+                else codes.view(void).ravel()).tolist()
+
+    return keys
+
+
+class _Index(dict):
+    """Exact keys to element indices; a new key gets the next index."""
+
+    def __missing__(self, key):
+        self[key] = i = len(self)
+        return i
+
+
+class _Closure:
+    """The block closure behind ``element_closure``.
+
+    Elements are code rows: a Permutation's image array, or a Mat's
+    entries.  A block of known rows is multiplied by every generator at
+    once (one gather of image arrays, or one ``mat_mul_batch``), and each
+    product is keyed exactly (``_row_keys``) and looked up among the known
+    keys, a new key getting the next index.  So the new products are
+    appended in the order of their first occurrence (row, generator),
+    the order of the one-at-a-time loop, and the same pass writes the
+    block's rows of R.  Blocks start at one row and double, up to
+    ``_CLOSURE_BLOCK_CELLS`` product cells, so a walk stopped early
+    wastes little.  Element objects are made from the new rows only.
+    """
+
+    def __init__(self, identity, gens, limit, clock):
+        self._right: list[np.ndarray] = []
+        self._walk = self._blocks(identity, list(gens), limit, clock)
+
+    def __iter__(self):
+        return self._walk
+
+    def __next__(self):
+        return next(self._walk)
+
+    def right(self) -> np.ndarray:
+        """The rows of R for the rows multiplied so far: all of R once
+        the walk is exhausted."""
+        return np.concatenate(self._right)
+
+    def _blocks(self, identity, gens, limit, clock):
+        d = len(gens)
+        if isinstance(identity, Permutation):
+            ident = identity.arr
+            radix = width = identity.degree
+            stack = np.stack([g.arr for g in gens] or [ident])
+            # x^(e*g) = g(e(x)): gather the generators' rows at e's images
+            offsets = (np.arange(d, dtype=np.intp) * width)[:, None]
+
+            def product(block):
+                return stack.take(block[:, None, :] + offsets)
+
+            make = Permutation._from_rows
+        elif isinstance(identity, Mat):
+            field, n = identity.field, identity.rows
+            radix, width = field.q, n * n
+            ident = np.array(identity.data,
+                             dtype=np.uint8 if radix <= 256 else np.uint16)
+            stack = np.array([g.data for g in gens],
+                             dtype=ident.dtype).reshape(1, d, n, n)
+
+            def product(block):
+                return mat_mul_batch(field, block.reshape(-1, 1, n, n),
+                                     stack).astype(ident.dtype)
+
+            def make(rows):
+                return [Mat(field, n, n, r) for r in rows.tolist()]
+        else:
+            raise TypeError(
+                f"no closure over {type(identity).__name__} elements")
+        keys = _row_keys(radix, width)
+        rows = np.empty((16, width), dtype=ident.dtype)
+        rows[0] = ident
+        index = _Index.fromkeys(keys(rows[:1]), 0)
+        size = count = 1
+        yield identity
+        cap = max(1, _CLOSURE_BLOCK_CELLS // max(1, d * width))
+        lo, step = 0, 1
+        while lo < size:
+            hi = min(size, lo + step)
+            flat = product(rows[lo:hi]).reshape((hi - lo) * d, width)
+            found = np.fromiter(map(index.__getitem__, keys(flat)),
+                                dtype=np.intp, count=len(flat))
+            self._right.append(found.reshape(hi - lo, d))
+            lo, step = hi, min(2 * step, cap)
+            if len(index) == size:
+                continue
+            # the new indices were handed out in order of first occurrence,
+            # so each first occurrence raises the running maximum
+            top = np.maximum.accumulate(np.concatenate(([size - 1], found)))
+            fresh = flat[np.flatnonzero(top[1:] > top[:-1])]
+            if len(index) > len(rows):
+                grown = np.empty((2 * len(index), width), dtype=rows.dtype)
+                grown[:size] = rows[:size]
+                rows = grown
+            rows[size:len(index)] = fresh
+            size = len(index)
+            for e in make(fresh):
+                if limit is not None and count >= limit:
                     raise TooLargeError(f"closure exceeds limit {limit}")
                 if clock is not None:
                     clock.tick()
-                seen.add(h)
-                out.append(h)
-                yield h
-        i += 1
+                count += 1
+                yield e
 
 
 # transversals are stored as full permutation matrices up to this many
@@ -153,6 +279,19 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(np.arange(n, dtype=_dtype_for(n)), _checked=True)
+
+    @classmethod
+    def _from_rows(cls, block: np.ndarray) -> list["Permutation"]:
+        """Permutations viewing the rows of a block of image arrays that
+        are known to be bijections, in the dtype of their degree."""
+        block.setflags(write=False)
+        out = []
+        for row in block:
+            g = cls.__new__(cls)
+            g.arr = row
+            g._hash = None
+            out.append(g)
+        return out
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]):
@@ -493,6 +632,7 @@ class PermGroup:
         self._levels: list[_Level] | None = None
         self._order: int | None = None
         self._elements: list[Permutation] | None = None
+        self._right: np.ndarray | None = None
 
     # -- stabiliser chain ------------------------------------------------
 
@@ -619,8 +759,10 @@ class PermGroup:
                 raise TooLargeError(
                     f"order {self.order()} exceeds element bound "
                     f"{self.element_bound}")
-            self._elements = list(element_closure(
-                Permutation.identity(self.degree), self.gens))
+            walk = element_closure(Permutation.identity(self.degree),
+                                   self.gens)
+            self._elements = list(walk)
+            self._right = walk.right()
         return self._elements
 
     def __repr__(self):
@@ -692,33 +834,34 @@ class FiniteGroup:
 
     ``elements`` is the closure of the generators in the order of
     ``element_closure``; element i is named by its index i, and
-    ``index`` maps an element back to it.  The one pass over element
-    objects after the closure is the right-multiplication table
-    R[i, k] = index(elements[i] * gens[k]) (n*d products, built on first
-    use); every invariant is computed from R with numpy.  The closure
-    first reached element j as an earlier element times a generator, so
-    the path from the identity in that closure tree is a word for j in
-    the generators, and ``mul`` multiplies index arrays by walking those
-    words through R.  From them come the inverses and the table of
-    conjugates x^g = g^-1 x g by each generator, which gives the centre,
-    the conjugacy classes and normal closures.  Subgroups are boolean
-    masks over the indices, closed by walking right-multiplication
-    permutations; the methods that return subgroups list their elements
-    in index order.
+    ``index`` maps an element back to it.  The closure also fills the
+    right-multiplication table R[i, k] = index(elements[i] * gens[k]), so
+    no element is multiplied after it; every invariant is computed from R
+    with numpy.  The closure first reached element j as an earlier
+    element times a generator, so the path from the identity in that
+    closure tree is a word for j in the generators, and ``mul``
+    multiplies index arrays by walking those words through R.  From them
+    come the inverses and the table of conjugates x^g = g^-1 x g by each
+    generator, which gives the centre, the conjugacy classes and normal
+    closures.  Subgroups are boolean masks over the indices, closed by
+    walking right-multiplication permutations; the methods that return
+    subgroups list their elements in index order.
     """
 
     def __init__(self, identity, generators: Iterable, *,
                  limit: int = 2**21):
         gens = tuple(g for g in dict.fromkeys(generators) if g != identity)
-        self._setup(identity, gens,
-                    list(element_closure(identity, gens, limit=limit)))
+        walk = element_closure(identity, gens, limit=limit)
+        self._setup(identity, gens, list(walk), walk.right())
 
-    def _setup(self, identity, gens: tuple, elements: list):
+    def _setup(self, identity, gens: tuple, elements: list,
+               right: np.ndarray):
         self.identity = identity
         self.gens = gens
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
-        self._right: np.ndarray | None = None
+        self._right = right
+        self._words: np.ndarray | None = None
         self._rmul: dict[int, np.ndarray] = {}
         self._orders: list[int] | None = None
         self._classes: list[list[int]] | None = None
@@ -749,14 +892,12 @@ class FiniteGroup:
     # -- the index kernel -------------------------------------------------
 
     def _tables(self) -> np.ndarray:
-        """R, built once together with the closure-tree words, the
-        inverses and the generator conjugation table."""
-        if self._right is not None:
-            return self._right
+        """R, with the closure-tree words, the inverses and the generator
+        conjugation table, which are built from it once."""
+        right = self._right
+        if self._words is not None:
+            return right
         n, d = self.order, len(self.gens)
-        index = self.index
-        right = np.array([index[e * g] for e in self.elements
-                          for g in self.gens], dtype=np.intp).reshape(n, d)
         # element j was first reached at the first (i, k) in row-major
         # order with R[i, k] = j, as elements[i] * gens[k]
         parent = np.zeros(n, dtype=np.intp)
@@ -783,7 +924,6 @@ class FiniteGroup:
         for t in range(self._words.shape[1] - 1, -1, -1):
             inv = back[inv, self._words[:, t]]
         self._inv = inv
-        self._right = right
         # conj[x, k] = index of gens[k]^-1 * x * gens[k]
         self._conj = np.array(
             [right[self.mul(inv[g], rows), k] for k, g in enumerate(right[0])],
@@ -1018,7 +1158,7 @@ class FiniteGroup:
         """The same group over g's cached closure, not closed again."""
         elements = g.elements()
         group = cls.__new__(cls)
-        group._setup(elements[0], g.gens, elements)
+        group._setup(elements[0], g.gens, elements, g._right)
         return group
 
 

@@ -714,16 +714,29 @@ def mat_mul_batch(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise-GF product of stacks of matrices.
 
     a has shape (..., n, k), b shape (..., k, m), with broadcastable
-    leading dimensions; both contain field codes.  Works via the field's
-    lookup tables, so q <= 1024.  The sum runs over one inner index at a
-    time, so no temporary is larger than the (..., n, m) result.
+    leading dimensions; both contain field codes, of any integer dtype.
+    Works via the field's lookup tables, so q <= 1024.  The sum runs over
+    one inner index at a time, so no temporary is larger than the
+    (..., n, m) result: each term is one gather from the flattened
+    multiplication table at a*q + b, and it is added with xor in
+    characteristic 2, else with one gather from the flattened addition
+    table.  Returns int64 codes.
     """
-    mul = field.mul_table.astype(np.int64)
-    addt = field.add_table.astype(np.int64)
-    acc = mul[a[..., :, 0, None], b[..., 0, None, :]]
-    for t in range(1, a.shape[-1]):
-        acc = addt[acc, mul[a[..., :, t, None], b[..., t, None, :]]]
-    return acc
+    q = field.q
+    dtype = np.uint8 if q <= 256 else np.uint16
+    mul = field.mul_table.astype(dtype, copy=False).ravel()
+    add = (None if field.p == 2
+           else field.add_table.astype(dtype, copy=False).ravel())
+    aq = np.asarray(a, dtype=np.intp) * q
+    b = np.asarray(b, dtype=np.intp)
+    acc = mul.take(aq[..., :, 0, None] + b[..., 0, None, :])
+    for t in range(1, aq.shape[-1]):
+        term = mul.take(aq[..., :, t, None] + b[..., t, None, :])
+        if add is None:
+            acc ^= term
+        else:
+            acc = add.take(acc.astype(np.intp) * q + term)
+    return acc.astype(np.int64)
 
 
 def mat_identity_mask(a: np.ndarray) -> np.ndarray:

@@ -703,6 +703,54 @@ def test_closure_order_matches_oracle_for_matrix_groups():
             assert all(g.index[e] == i for i, e in enumerate(g.elements))
 
 
+def right_oracle(g: FiniteGroup) -> np.ndarray:
+    """The former R fill: index[e * s] for every element and generator."""
+    return np.array([[g.index[e * s] for s in g.gens] for e in g.elements],
+                    dtype=np.intp).reshape(g.order, len(g.gens))
+
+
+def test_closure_fills_right_table_as_oracle():
+    from gquad.constructions import elation_group, shear_group, split_group
+    for q in (4, 9):
+        for build in (elation_group, shear_group, split_group):
+            g = build(GF.default(q))
+            assert g.elements == closure_oracle(g.identity, g.gens)
+            assert (g._tables() == right_oracle(g)).all()
+    # order 15625: each 4x4 code over GF(25) takes two int64 words
+    e25 = elation_group(GF.default(25))
+    assert e25.order == 25 ** 3
+    assert (e25._tables() == right_oracle(e25)).all()
+    for h in _model_groups(2) + _model_groups(3):
+        g = FiniteGroup.from_permgroup(h)
+        assert (g._tables() == right_oracle(g)).all()
+
+
+def test_closure_and_tables_make_no_products(monkeypatch):
+    from gquad.constructions import elation_gens
+    k = GF.default(3)
+    gens = elation_gens(k)
+    perm_groups = [PermGroup(h.degree, h.gens) for h in _model_groups(3)]
+    calls = []
+    for cls in (Mat, Permutation):
+        real = cls.__mul__
+
+        def counted(a, b, real=real):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+    e = FiniteGroup(Mat.identity(k, 4), gens)
+    e._tables()
+    assert e.order == 27
+    for h in perm_groups:
+        h.elements()
+        FiniteGroup.from_permgroup(h)._tables()
+    assert calls == []
+    with pytest.raises(TooLargeError):
+        FiniteGroup(Mat.identity(k, 4), gens, limit=26)
+    assert FiniteGroup(Mat.identity(k, 4), gens, limit=27).order == 27
+
+
 def test_lazy_closure_prefix_and_clock():
     # the Sylow climb stops at the first useful element: it sees a prefix
     # of the oracle order, and the clock counts only the new elements
@@ -1051,8 +1099,8 @@ def test_span_keeps_a_greedy_generating_set():
 
 
 def test_invariants_make_no_second_pass(monkeypatch):
-    # after its closure, a matrix group multiplies elements only to fill
-    # its right-multiplication table, once
+    # the closure fills the right-multiplication table, so a matrix
+    # group's invariants multiply no elements at all
     from gquad.constructions import elation_group, shear_group
     k = GF.default(5)
     e, p = elation_group(k), shear_group(k)
@@ -1065,10 +1113,8 @@ def test_invariants_make_no_second_pass(monkeypatch):
 
     monkeypatch.setattr(Mat, "__mul__", counted)
     for g in (e, p):
-        calls.clear()
         invariant_report(g)
-        assert 0 < len(calls) <= g.order * len(g.gens)
-    calls.clear()
+        assert calls == []
     assert invariant_report(e) == invariant_report(e)
     invariant_report(p)
     assert is_isomorphic_small(e, p) is not None  # E ~ P when p > 3

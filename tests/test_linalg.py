@@ -133,9 +133,21 @@ def test_batch_product_matches_single():
         assert list(mat_identity_mask(stack)) == [True, False]
 
 
+def mat_mul_batch_oracle(field, a, b):
+    """The former kernel: two 2-d table gathers per inner term."""
+    mul = field.mul_table.astype(np.int64)
+    addt = field.add_table.astype(np.int64)
+    acc = mul[a[..., :, 0, None], b[..., 0, None, :]]
+    for t in range(1, a.shape[-1]):
+        acc = addt[acc, mul[a[..., :, t, None], b[..., t, None, :]]]
+    return acc
+
+
 def test_batch_product_matches_mat_products_on_random_stacks():
     rng = np.random.default_rng(11)
-    for q in (2, 3, 4, 5, 8, 9):
+    # 16 takes the xor sum past GF(8), 25 and 27 the odd prime-power add
+    # gather, and 27 the largest flat index, 26 * 27 + 26
+    for q in (2, 3, 4, 5, 8, 9, 16, 25, 27):
         k = GF.default(q)
 
         def stack(*shape):
@@ -161,6 +173,22 @@ def test_batch_product_matches_mat_products_on_random_stacks():
         got = mat_mul_batch(k, a, b)
         for i in range(4):
             assert (got[i] == product(a[i], b[i])).all()
+        # the block closure's shape: code rows of known elements, stored
+        # as uint8, by a (1, d, n, n) stack of generators
+        for dtype in (np.uint8, np.uint16):
+            a = stack(6, 1, 4, 4).astype(dtype)
+            b = stack(1, 3, 4, 4).astype(dtype)
+            got = mat_mul_batch(k, a, b)
+            assert got.dtype == np.int64 and got.shape == (6, 3, 4, 4)
+            for i in range(6):
+                for j in range(3):
+                    assert (got[i, j] == product(a[i, 0].astype(np.int64),
+                                                 b[0, j].astype(np.int64))
+                            ).all()
+        # and the former kernel on a larger stack
+        a, b = stack(500, 4, 4), stack(500, 4, 4)
+        assert (mat_mul_batch(k, a.astype(np.uint8), b)
+                == mat_mul_batch_oracle(k, a, b)).all()
 
 
 def test_semilinear_composition_and_inverse():
