@@ -27,7 +27,7 @@ from .constructions import (
     split_gens,
     unipotent_gens,
 )
-from .gf import GF
+from .gf import GF, _prime_power
 from .groups import (
     TooLargeError,
     invariant_report,
@@ -50,6 +50,7 @@ from .incidence import (
 from .search import (
     NotCompatibleError,
     SearchBudget,
+    _p_part,
     classify_classes,
     enumerate_regular,
 )
@@ -151,26 +152,11 @@ def resolve_config(args: argparse.Namespace, env=None) -> RunConfig:
     return replace(cfg, **updates)
 
 
-def _factor_prime_power(q: int) -> tuple:
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    f = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        f += 1
-    if m != 1 or q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    return p, f
-
-
 def _field_for(q: int, cfg: RunConfig) -> GF:
-    p, f = _factor_prime_power(q)
+    pf = _prime_power(q)
+    if pf is None:
+        raise ValueError(f"{q} is not a prime power")
+    p, f = pf
     code = cfg.moduli.get((p, f))
     if code is not None:
         coeffs = []
@@ -341,19 +327,13 @@ def _cmd_enumerate_regular(args, cfg: RunConfig) -> int:
     gq = load_gq(args.gq)
     model = _derived_model_for(gq, cfg)
     q = gq.s + 1
-    p, f = _factor_prime_power(q)
     ambient = _ambient_for(model, q)
     sylow = _group_action("T", model)
-    amb_order = ambient.order()
-    p_part = 1
-    while amb_order % p == 0:
-        amb_order //= p
-        p_part *= p
-    if sylow.order() != p_part:
+    if sylow.order() != _p_part(ambient.order(), model.field.p):
         sylow = None
     templates = {"E": _group_action("E", model),
                  "P": _group_action("P", model)}
-    if f > 1:
+    if model.field.f > 1:
         templates["S"] = _group_action("S", model)
     table = enumerate_regular(model.gq, ambient,
                               SearchBudget(seconds=cfg.budget_seconds),

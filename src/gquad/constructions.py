@@ -485,21 +485,58 @@ def _field_luts(field: GF):
     return add, mul, neg
 
 
-def _elation_stack(field: GF):
-    """All q^3 root elations as one array, with their parameter grids."""
-    q = field.q
-    _, _, neg = _field_luts(field)
-    idx = np.arange(q ** 3)
-    a, b, c = idx // (q * q), (idx // q) % q, idx % q
-    t = np.zeros((q ** 3, 4, 4), dtype=np.int64)
-    for d in range(4):
-        t[:, d, d] = 1
-    t[:, 1, 0] = neg[c]
-    t[:, 2, 0] = b
-    t[:, 3, 0] = a
-    t[:, 3, 1] = b
-    t[:, 3, 2] = c
+# Each checker builds its matrices once, with the public constructors, as
+# stacks of code matrices, and states its identity without inverses:
+# theta^-1 x theta = y as x theta = theta y, and [x, y] = z as
+# x y = y x z.  Both sides are mat_mul_batch products over a grid of
+# parameters, and _mismatches lists the grid positions where they differ.
+
+def _stack(mats) -> np.ndarray:
+    return np.array([m.to_array() for m in mats], dtype=np.int64)
+
+
+def _abc(i, q: int) -> tuple:
+    # the parameters (a, b, c) of the elation in row (or rows) i
+    return i // (q * q), i // q % q, i % q
+
+
+def _elations(field: GF):
+    """All q^3 root elations, t(a,b,c) in row a*q^2 + b*q + c, with the
+    parameter grids a, b, c."""
+    a, b, c = _abc(np.arange(field.q ** 3), field.q)
+    t = _stack([elation_matrix(field, *abc)
+                for abc in zip(a.tolist(), b.tolist(), c.tolist())])
     return t, a, b, c
+
+
+def _mismatches(blocks, limit: int) -> list[tuple[int, int]]:
+    """The first limit grid positions (i, j), row-major, where the two
+    sides of an identity differ.
+
+    blocks yields (left, right) stacks of shape (rows, cols, n, n) for
+    consecutive row ranges of the grid; it is consumed only until limit
+    positions are found.
+    """
+    bad: list[tuple[int, int]] = []
+    lo = 0
+    for left, right in blocks:
+        i, j = np.nonzero((left != right).any(axis=(-2, -1)))
+        bad += zip((i + lo).tolist(), j.tolist())
+        if len(bad) >= limit:
+            break
+        lo += left.shape[0]
+    return bad[:max(limit, 0)]
+
+
+def _elation_pairs(field: GF, limit: int, t: np.ndarray, right) -> list:
+    """Compare t_i t_j with right(lo, hi), rows lo..hi of the q^3 x q^3
+    grid, over every pair; returns ((a,b,c), (x,y,z)) tuples."""
+    q = field.q
+    n = q ** 3
+    chunk = max(1, (1 << 25) // (n * 64 * 8))
+    blocks = ((mat_mul_batch(field, t[lo:lo + chunk, None], t[None, :]),
+               right(lo, lo + chunk)) for lo in range(0, n, chunk))
+    return [(_abc(i, q), _abc(j, q)) for i, j in _mismatches(blocks, limit)]
 
 
 def verify_elation_product_rule(field: GF, limit: int = 5) -> list:
@@ -510,55 +547,27 @@ def verify_elation_product_rule(field: GF, limit: int = 5) -> list:
     """
     add, mul, neg = _field_luts(field)
     q = field.q
-    t, a, b, c = _elation_stack(field)
-    n = q ** 3
+    t, a, b, c = _elations(field)
     a1, b1, c1 = a[:, None], b[:, None], c[:, None]
-    x, y, z = a[None, :], b[None, :], c[None, :]
-    ap = add[add[a1, x], add[neg[mul[b1, z]], mul[c1, y]]]
-    bp = add[b1, y]
-    cp = add[c1, z]
-    eidx = ap * (q * q) + bp * q + cp
-    bad = []
-    chunk = max(1, (1 << 25) // (n * 64 * 8))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        prod = mat_mul_batch(field, t[lo:hi, None], t[None, :])
-        ok = (prod == t[eidx[lo:hi]]).all(axis=(2, 3))
-        for i, j in zip(*np.nonzero(~ok)):
-            bad.append(((int(a[lo + i]), int(b[lo + i]), int(c[lo + i])),
-                        (int(a[j]), int(b[j]), int(c[j]))))
-            if len(bad) >= limit:
-                return bad
-    return bad
+    ap = add[add[a1, a], add[neg[mul[b1, c]], mul[c1, b]]]
+    code = ap * (q * q) + add[b1, b] * q + add[c1, c]
+    return _elation_pairs(field, limit, t, lambda lo, hi: t[code[lo:hi]])
 
 
 def verify_elation_commutator_rule(field: GF, limit: int = 5) -> list:
     """Check [t(a,b,c), t(x,y,z)] = t(2(cy-bz), 0, 0) on all pairs."""
     add, mul, neg = _field_luts(field)
     q = field.q
-    t, a, b, c = _elation_stack(field)
-    n = q ** 3
-    inv_idx = neg[a] * (q * q) + neg[b] * q + neg[c]
-    ti = t[inv_idx]
+    t, _, b, c = _elations(field)
     two = field.scalar(2)
-    b1, c1 = b[:, None], c[:, None]
-    y, z = b[None, :], c[None, :]
-    ap = mul[two, add[mul[c1, y], neg[mul[b1, z]]]]
-    eidx = ap * (q * q)
-    bad = []
-    chunk = max(1, (1 << 25) // (n * 64 * 8))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        left = mat_mul_batch(field, ti[lo:hi, None], ti[None, :])
-        right = mat_mul_batch(field, t[lo:hi, None], t[None, :])
-        com = mat_mul_batch(field, left, right)
-        ok = (com == t[eidx[lo:hi]]).all(axis=(2, 3))
-        for i, j in zip(*np.nonzero(~ok)):
-            bad.append(((int(a[lo + i]), int(b[lo + i]), int(c[lo + i])),
-                        (int(a[j]), int(b[j]), int(c[j]))))
-            if len(bad) >= limit:
-                return bad
-    return bad
+    code = mul[two, add[mul[c[:, None], b], neg[mul[b[:, None], c]]]] \
+        * (q * q)
+
+    def right(lo, hi):
+        yx = mat_mul_batch(field, t[None, :], t[lo:hi, None])
+        return mat_mul_batch(field, yx, t[code[lo:hi]])
+
+    return _elation_pairs(field, limit, t, right)
 
 
 def verify_conjugation_relations(field: GF, limit: int = 5) -> dict:
@@ -576,54 +585,34 @@ def verify_conjugation_relations(field: GF, limit: int = 5) -> dict:
     Exhaustive over all parameters; returns a dict from identity name
     to a list (at most limit long) of offending parameter tuples.
     """
-    k = field
-    two = k.scalar(2)
-    out: dict[str, list] = {"conjugate": [], "commutator": [],
-                            "product": [], "shear_commutator": []}
-
-    def note(key, item):
-        if len(out[key]) < limit:
-            out[key].append(item)
-
-    for al in k.elements():
-        th = shear_matrix(k, al)
-        thi = th.inverse()
-        al2 = k.mul(al, al)
-        for a in k.elements():
-            for b in k.elements():
-                for c in k.elements():
-                    t = elation_matrix(k, a, b, c)
-                    got = thi * t * th
-                    a_new = k.sub(a, k.add(k.mul(two, k.mul(al, b)),
-                                           k.mul(two, k.mul(al2, c))))
-                    want = elation_matrix(k, a_new,
-                                          k.add(b, k.mul(al, c)), c)
-                    if got != want:
-                        note("conjugate", (al, (a, b, c)))
-                    got = t.inverse() * thi * t * th
-                    inner = k.add(k.mul(c, c),
-                                  k.add(k.mul(two, k.mul(al, c)),
-                                        k.mul(two, b)))
-                    want = elation_matrix(k, k.neg(k.mul(al, inner)),
-                                          k.mul(al, c), 0)
-                    if got != want:
-                        note("commutator", (al, (a, b, c)))
-
-    for al in k.elements():
-        tha = shear_matrix(k, al)
-        for be in k.elements():
-            thb = shear_matrix(k, be)
-            got = tha * thb
-            want = elation_matrix(k, k.mul(k.mul(al, al), be),
-                                  k.mul(al, be), 0) * \
-                shear_matrix(k, k.add(al, be))
-            if got != want:
-                note("product", (al, be))
-            got = tha.inverse() * thb.inverse() * tha * thb
-            want = elation_matrix(k, k.mul(k.mul(al, be), k.sub(al, be)),
-                                  0, 0)
-            if got != want:
-                note("shear_commutator", (al, be))
+    add, mul, neg = _field_luts(field)
+    q = field.q
+    two = field.scalar(2)
+    t, a, b, c = _elations(field)
+    th = _stack([shear_matrix(field, al) for al in field.elements()])
+    al = np.arange(q)[:, None]      # rows of every grid
+    be = np.arange(q)               # columns of the shear grids
+    al2 = mul[al, al]
+    conj = (add[a, neg[mul[two, add[mul[al, b], mul[al2, c]]]]] * (q * q)
+            + add[b, mul[al, c]] * q + c)
+    inner = add[mul[c, c], mul[two, add[mul[al, c], b]]]
+    comm = neg[mul[al, inner]] * (q * q) + mul[al, c] * q
+    t_th = mat_mul_batch(field, t[None, :], th[:, None])
+    th_t = mat_mul_batch(field, th[:, None], t[None, :])
+    th_th = mat_mul_batch(field, th[:, None], th[None, :])
+    sides = {
+        "conjugate": (t_th, mat_mul_batch(field, th[:, None], t[conj])),
+        "commutator": (t_th, mat_mul_batch(field, th_t, t[comm])),
+        "product": (th_th, mat_mul_batch(
+            field, t[mul[al2, be] * (q * q) + mul[al, be] * q],
+            th[add[al, be]])),
+        "shear_commutator": (th_th, mat_mul_batch(
+            field, th_th.swapaxes(0, 1),
+            t[mul[mul[al, be], add[al, neg[be]]] * (q * q)])),
+    }
+    out = {name: _mismatches([pair], limit) for name, pair in sides.items()}
+    for name in ("conjugate", "commutator"):
+        out[name] = [(i, _abc(j, q)) for i, j in out[name]]
     return out
 
 
@@ -638,17 +627,16 @@ def verify_shear_power_formula(field: GF, n_max: int | None = None,
     period = k.p * k.p if k.p in (2, 3) else k.p
     if n_max is None:
         n_max = 2 * period + 1
-    bad = []
-    for al in k.elements():
-        th = shear_matrix(k, al)
-        acc = Mat.identity(k, 4)
-        for nth in range(n_max + 1):
-            if acc != shear_power_matrix(k, al, nth):
-                bad.append((al, nth))
-                if len(bad) >= limit:
-                    return bad
-            acc = acc * th
-    return bad
+    ns = range(n_max + 1)
+    th = _stack([shear_matrix(k, al) for al in k.elements()])
+    powers = np.empty((k.q, len(ns), 4, 4), dtype=np.int64)
+    acc = np.broadcast_to(np.eye(4, dtype=np.int64), th.shape)
+    for n in ns:
+        powers[:, n] = acc
+        acc = mat_mul_batch(k, acc, th)
+    closed = _stack([shear_power_matrix(k, al, n)
+                     for al in k.elements() for n in ns])
+    return _mismatches([(powers, closed.reshape(powers.shape))], limit)
 
 
 def sylow_exponent(field: GF) -> int:

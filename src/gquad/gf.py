@@ -105,6 +105,19 @@ def _factorise(n: int) -> list[int]:
     return out
 
 
+def _prime_power(n: int) -> tuple[int, int] | None:
+    """(p, k) when n = p^k with k >= 1, else None."""
+    primes = _factorise(n)
+    if len(primes) != 1:
+        return None
+    p = primes[0]
+    k = 0
+    while n > 1:
+        n //= p
+        k += 1
+    return p, k
+
+
 # ----------------------------------------------------------------------
 # polynomial helpers over GF(p); polys are little-endian coefficient lists
 # ----------------------------------------------------------------------
@@ -239,15 +252,10 @@ class GF:
                  f: int | None = None,
                  modulus: Sequence[int] | None = None):
         if q is not None:
-            pp = _factorise(q)
-            if len(pp) != 1:
+            pf = _prime_power(q)
+            if pf is None:
                 raise ValueError(f"{q} is not a prime power")
-            p = pp[0]
-            f = 1
-            while p**f < q:
-                f += 1
-            if p**f != q:
-                raise ValueError(f"{q} is not a prime power")
+            p, f = pf
         if p is None or f is None:
             raise ValueError("give q, or both p and f")
         if f < 1 or p < 2 or _factorise(p) != [p]:

@@ -35,12 +35,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gf import _factorise
+from .gf import _factorise, _prime_power
 from .linalg import Mat, mat_mul_batch
 from .textfile import read_int_file
 
@@ -719,16 +718,10 @@ class PermGroup:
     # -- orbits ----------------------------------------------------------
 
     def orbit(self, x: int) -> list[int]:
-        seen = {x}
-        queue = deque([x])
-        while queue:
-            a = queue.popleft()
-            for g in self.gens:
-                b = int(g.arr[a])
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        return sorted(seen)
+        mask = np.zeros(self.degree, dtype=bool)
+        mask[x] = True
+        _close(mask, np.array([x], dtype=np.intp), [g.arr for g in self.gens])
+        return np.flatnonzero(mask).tolist()
 
     def orbits(self, on: Iterable[int] | None = None) -> list[list[int]]:
         domain = range(self.degree) if on is None else sorted(set(on))
@@ -878,16 +871,7 @@ class FiniteGroup:
 
     def is_pgroup(self) -> tuple[int, int] | None:
         """(p, k) when the order is p^k > 1, else None."""
-        primes = _factorise(self.order)
-        if len(primes) != 1:
-            return None
-        p = primes[0]
-        k = 0
-        n = self.order
-        while n > 1:
-            n //= p
-            k += 1
-        return p, k
+        return _prime_power(self.order)
 
     # -- the index kernel -------------------------------------------------
 

@@ -147,11 +147,6 @@ class Mat:
         return Mat(self.field, c, r,
                    [self.data[i * c + j] for j in range(c) for i in range(r)])
 
-    def scale(self, c: int) -> "Mat":
-        _, mul, _, _ = self.field.scalar_tables()
-        return Mat(self.field, self.rows, self.cols,
-                   [mul[c][x] for x in self.data])
-
     def map_entries(self, fn) -> "Mat":
         return Mat(self.field, self.rows, self.cols,
                    [fn(x) for x in self.data])

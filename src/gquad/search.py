@@ -29,6 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .gf import _prime_power
 from .groups import (
     FiniteGroup,
     PermGroup,
@@ -293,22 +294,6 @@ class RegularClassTable:
 # structure descriptions
 # ---------------------------------------------------------------------------
 
-def _is_prime_power(n: int):
-    if n < 2:
-        return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return (n, 1)
-        if n % p == 0:
-            k = 0
-            m = n
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-    return None
-
-
 def describe_group(inv: Mapping) -> str:
     """A short structural name from an invariant report.
 
@@ -322,7 +307,7 @@ def describe_group(inv: Mapping) -> str:
         if inv["is_abelian"]:
             return {2: "C2 x C2 x C2", 4: "C4 x C2", 8: "C8"}[exp]
         return "D8" if hist.get(2, 0) == 5 else "Q8"
-    pk = _is_prime_power(n)
+    pk = _prime_power(n)
     if pk and pk[1] == 3:
         p = pk[0]
         if inv["is_abelian"]:
@@ -499,7 +484,7 @@ def enumerate_regular(gq, ambient: PermGroup, budget=None, *,
         raise NotCompatibleError(
             f"point count {n} does not divide the ambient order {amb_order}")
     clock = _Clock(_as_budget(budget))
-    pk = _is_prime_power(n)
+    pk = _prime_power(n)
     complete = True
     notes: list[str] = []
     frontier: list = []

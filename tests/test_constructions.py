@@ -1,8 +1,11 @@
 """Tests for the explicit group constructions and identity checkers."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gquad.constructions as cons
 from gquad.constructions import (
     BASE_POINT,
     NotAnAutomorphismError,
@@ -102,6 +105,143 @@ def test_shear_orders():
                 got = n
                 break
         assert got == order
+
+
+# -- the checkers against object-level oracles -------------------------------
+#
+# The former Mat loops, kept as oracles.  They call the constructors
+# through the module, so a constructor patched there reaches both them
+# and the checkers.
+
+def elation_rules_oracle(field, limit=5):
+    """The product and commutator rules, one Mat product at a time.
+
+    Returns the (product, commutator) counterexample lists, pairs
+    ((a,b,c), (x,y,z)) in row-major order, each at most limit long.
+    """
+    k = field
+    two = k.scalar(2)
+    ts = {abc: cons.elation_matrix(k, *abc)
+          for abc in itertools.product(k.elements(), repeat=3)}
+    inv = {abc: m.inverse() for abc, m in ts.items()}
+    product, commutator = [], []
+    for (a, b, c), t in ts.items():
+        for (x, y, z), u in ts.items():
+            cy_bz = k.sub(k.mul(c, y), k.mul(b, z))
+            want = ts[(k.add(k.add(a, x), cy_bz), k.add(b, y), k.add(c, z))]
+            if t * u != want and len(product) < limit:
+                product.append(((a, b, c), (x, y, z)))
+            com = inv[(a, b, c)] * inv[(x, y, z)] * t * u
+            if com != ts[(k.mul(two, cy_bz), 0, 0)] and \
+                    len(commutator) < limit:
+                commutator.append(((a, b, c), (x, y, z)))
+    return product, commutator
+
+
+def conjugation_relations_oracle(field, limit=5):
+    """The former verify_conjugation_relations loop."""
+    k = field
+    two = k.scalar(2)
+    out = {"conjugate": [], "commutator": [], "product": [],
+           "shear_commutator": []}
+
+    def note(key, item):
+        if len(out[key]) < limit:
+            out[key].append(item)
+
+    for al in k.elements():
+        th = cons.shear_matrix(k, al)
+        thi = th.inverse()
+        al2 = k.mul(al, al)
+        for a, b, c in itertools.product(k.elements(), repeat=3):
+            t = cons.elation_matrix(k, a, b, c)
+            a_new = k.sub(a, k.add(k.mul(two, k.mul(al, b)),
+                                   k.mul(two, k.mul(al2, c))))
+            want = cons.elation_matrix(k, a_new, k.add(b, k.mul(al, c)), c)
+            if thi * t * th != want:
+                note("conjugate", (al, (a, b, c)))
+            inner = k.add(k.mul(c, c), k.add(k.mul(two, k.mul(al, c)),
+                                             k.mul(two, b)))
+            want = cons.elation_matrix(k, k.neg(k.mul(al, inner)),
+                                       k.mul(al, c), 0)
+            if t.inverse() * thi * t * th != want:
+                note("commutator", (al, (a, b, c)))
+    for al, be in itertools.product(k.elements(), repeat=2):
+        tha = cons.shear_matrix(k, al)
+        thb = cons.shear_matrix(k, be)
+        want = cons.elation_matrix(k, k.mul(k.mul(al, al), be),
+                                   k.mul(al, be), 0) * \
+            cons.shear_matrix(k, k.add(al, be))
+        if tha * thb != want:
+            note("product", (al, be))
+        want = cons.elation_matrix(k, k.mul(k.mul(al, be), k.sub(al, be)),
+                                   0, 0)
+        if tha.inverse() * thb.inverse() * tha * thb != want:
+            note("shear_commutator", (al, be))
+    return out
+
+
+def shear_power_oracle(field, n_max, limit=5):
+    """The former verify_shear_power_formula loop."""
+    k = field
+    bad = []
+    for al in k.elements():
+        th = cons.shear_matrix(k, al)
+        acc = Mat.identity(k, 4)
+        for n in range(n_max + 1):
+            if acc != shear_power_matrix(k, al, n) and len(bad) < limit:
+                bad.append((al, n))
+            acc = acc * th
+    return bad
+
+
+def _with_one_entry_changed(make, hit, entry):
+    """make, except that the matrix for the parameters hit has its
+    below-diagonal entry (i, j) raised by one; it stays invertible."""
+    i, j = entry
+
+    def faulty(field, *params):
+        m = make(field, *params)
+        if params != hit:
+            return m
+        data = list(m.data)
+        data[4 * i + j] = field.add(data[4 * i + j], 1)
+        return Mat(field, 4, 4, data)
+    return faulty
+
+
+BROKEN = {
+    "elation": ("elation_matrix",
+                _with_one_entry_changed(elation_matrix, (0, 1, 1), (3, 1))),
+    "shear": ("shear_matrix",
+              _with_one_entry_changed(shear_matrix, (2,), (3, 2))),
+}
+
+
+@pytest.mark.parametrize("limit", [1, None])
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("broken", sorted(BROKEN))
+def test_checkers_match_oracles_under_a_broken_constructor(
+        monkeypatch, broken, q, limit):
+    name, faulty = BROKEN[broken]
+    monkeypatch.setattr(cons, name, faulty)
+    k = GF.default(q)
+    cap = {} if limit is None else {"limit": limit}
+    product, commutator = elation_rules_oracle(k, **cap)
+    relations = conjugation_relations_oracle(k, **cap)
+    assert verify_elation_product_rule(k, **cap) == product
+    assert verify_elation_commutator_rule(k, **cap) == commutator
+    assert verify_conjugation_relations(k, **cap) == relations
+    n_max = 2 * (k.p * k.p if k.p in (2, 3) else k.p) + 1
+    assert verify_shear_power_formula(k, **cap) == \
+        shear_power_oracle(k, n_max, **cap)
+    # the fault is seen, so the comparisons above are not of empty lists
+    assert any(relations.values())
+    if broken == "elation":
+        assert product and commutator
+        assert product[0] == commutator[0] == ((0, 0, 1), (0, 1, 1))
+    else:
+        assert verify_shear_power_formula(k, **cap)
 
 
 # -- generating sets and matrix groups ---------------------------------------

@@ -11,6 +11,7 @@ from gquad.gf import (
     triple_image,
     _DEFAULT_MODULI,
     _factorise,
+    _prime_power,
     _is_irreducible,
 )
 
@@ -330,6 +331,14 @@ def test_non_prime_power_rejected():
     for bad in [1, 6, 10, 12, 100]:
         with pytest.raises(ValueError):
             GF(bad)
+
+
+def test_prime_power_matches_brute_force():
+    for n in range(-2, 300):
+        brute = [(p, k) for p in range(2, max(n, 2) + 1)
+                 for k in range(1, 9) if p ** k == n
+                 and all(p % d for d in range(2, p))]
+        assert _prime_power(n) == (brute[0] if brute else None), n
 
 
 def test_default_is_cached():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import deque
 
 import numpy as np
 import pytest
@@ -185,6 +186,34 @@ def test_orbits_transitivity():
     assert g.is_transitive(on=[0, 1, 2])
     assert sym(6).is_transitive()
     assert g.orbit(4) == [3, 4]
+
+
+def orbit_oracle(group, x):
+    """The former breadth-first point-orbit walk: the oracle for
+    PermGroup.orbit."""
+    seen = {x}
+    queue = deque([x])
+    while queue:
+        a = queue.popleft()
+        for g in group.gens:
+            b = int(g.arr[a])
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
+    return sorted(seen)
+
+
+def test_orbits_match_oracle():
+    groups = _model_groups(2) + _model_groups(3) + [_aut_of_derived(3)]
+    # one-generator subgroups have orbits short of the whole point set
+    groups += [PermGroup(g.degree, g.gens[:1]) for g in groups]
+    for g in groups:
+        expected = [orbit_oracle(g, x) for x in range(g.degree)]
+        assert [g.orbit(x) for x in range(g.degree)] == expected
+        partition = sorted({tuple(o) for o in expected})
+        assert g.orbits() == [list(o) for o in partition]
+        assert g.is_transitive() == (len(expected[0]) == g.degree)
+    assert any(not g.is_transitive() for g in groups)
 
 
 def test_base_prefix_chain():
