@@ -33,6 +33,7 @@ Commutators are [g, h] = g^-1 h^-1 g h throughout.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from typing import Iterable, Sequence
@@ -250,6 +251,9 @@ _CHAIN_BLOCK_CELLS = 1 << 18
 # numpy's take copies its indices to intp; ``_take_rows`` gathers a block
 # in slices of at most this many cells, so that copy stays near 0.5 MiB
 _TAKE_CELLS = 1 << 16
+
+# PermGroup.elements() refuses a group of larger order
+_ELEMENT_BOUND = 2**20
 
 
 def _dtype_for(n: int):
@@ -610,10 +614,8 @@ class PermGroup:
     """Permutation group with a lazily built deterministic chain."""
 
     def __init__(self, degree: int, generators: Iterable = (),
-                 *, base_prefix: Sequence[int] = (),
-                 element_bound: int = 2**20):
+                 *, base_prefix: Sequence[int] = ()):
         self.degree = degree
-        self.element_bound = element_bound
         self._base_prefix = tuple(base_prefix)
         gens = []
         seen = set()
@@ -707,11 +709,10 @@ class PermGroup:
         return [lv.base for lv in self._chain()]
 
     def point_stabilizer(self, x: int) -> "PermGroup":
-        chain = PermGroup(self.degree, self.gens, base_prefix=(x,),
-                          element_bound=self.element_bound)
+        chain = PermGroup(self.degree, self.gens, base_prefix=(x,))
         levels = chain._chain()
         gens = levels[1].gens if len(levels) > 1 else []
-        sub = PermGroup(self.degree, gens, element_bound=self.element_bound)
+        sub = PermGroup(self.degree, gens)
         sub._order = chain.order() // levels[0].orbit_size()
         return sub
 
@@ -748,10 +749,10 @@ class PermGroup:
 
     def elements(self) -> list[Permutation]:
         if self._elements is None:
-            if self.order() > self.element_bound:
+            if self.order() > _ELEMENT_BOUND:
                 raise TooLargeError(
                     f"order {self.order()} exceeds element bound "
-                    f"{self.element_bound}")
+                    f"{_ELEMENT_BOUND}")
             walk = element_closure(Permutation.identity(self.degree),
                                    self.gens)
             self._elements = list(walk)
@@ -822,6 +823,14 @@ def _close(mask: np.ndarray, frontier: np.ndarray, perms: list) -> None:
         mask[frontier] = True
 
 
+# a FiniteGroup closes at most this many elements
+_FINITE_GROUP_LIMIT = 2**21
+
+# the Frattini subgroup of a non-p-group is the intersection of its
+# maximal subgroups, found from the subgroup lattice up to this order
+_LATTICE_BOUND = 1024
+
+
 class FiniteGroup:
     """A finite group as its element list and integer tables over it.
 
@@ -841,10 +850,9 @@ class FiniteGroup:
     subgroups list their elements in index order.
     """
 
-    def __init__(self, identity, generators: Iterable, *,
-                 limit: int = 2**21):
+    def __init__(self, identity, generators: Iterable):
         gens = tuple(g for g in dict.fromkeys(generators) if g != identity)
-        walk = element_closure(identity, gens, limit=limit)
+        walk = element_closure(identity, gens, limit=_FINITE_GROUP_LIMIT)
         self._setup(identity, gens, list(walk), walk.right())
 
     def _setup(self, identity, gens: tuple, elements: list,
@@ -1068,24 +1076,24 @@ class FiniteGroup:
     def power_subgroup(self, p: int) -> list:
         return self._members(self._power_mask(p))
 
-    def _frattini_mask(self, lattice_bound: int = 1024):
+    def _frattini_mask(self):
         pk = self.is_pgroup()
         if pk is not None:
             seed = self._derived_mask() | self._power_mask(pk[0])
             return self.span(np.flatnonzero(seed))[0]
-        if self.order > lattice_bound:
+        if self.order > _LATTICE_BOUND:
             return None
         inter = np.ones(self.order, dtype=bool)
-        for m in self._maximal_masks():
+        for m in self._lattice_maximal_masks():
             inter &= m
         return inter
 
-    def frattini(self, *, lattice_bound: int = 1024) -> list | None:
+    def frattini(self) -> list | None:
         """Frattini subgroup; None when out of reach for non-p-groups."""
-        mask = self._frattini_mask(lattice_bound)
+        mask = self._frattini_mask()
         return None if mask is None else self._members(mask)
 
-    def _maximal_masks(self) -> list[np.ndarray]:
+    def _lattice_maximal_masks(self) -> list[np.ndarray]:
         """All maximal subgroups, by upward closure of the lattice: a
         proper subgroup is maximal when every element outside it
         generates the whole group with it."""
@@ -1112,9 +1120,34 @@ class FiniteGroup:
             frontier = nxt
         return maxes
 
-    def _maximal_subgroups(self) -> list[frozenset]:
-        """The maximal subgroups, as sets of elements."""
-        return [frozenset(self._members(m)) for m in self._maximal_masks()]
+    def _maximal_masks(self):
+        """The maximal subgroups of a p-group, lazily, as (mask,
+        generator indices): the preimages of the hyperplanes of the
+        Frattini quotient G/Phi, each generated by a greedy generating
+        set of Phi and d-1 more elements, all picked in index order."""
+        pk = self.is_pgroup()
+        if pk is None:
+            raise ValueError("not a p-group")
+        p = pk[0]
+        phi, phi_gens = self.span(np.flatnonzero(self._frattini_mask()))
+        # coset representatives mapping onto a basis of the elementary
+        # abelian quotient G/Phi
+        basis = self.span(range(self.order), phi_gens)[1][len(phi_gens):]
+        d = len(basis)
+        if p ** d * int(phi.sum()) != self.order:
+            raise RuntimeError("Frattini quotient basis has the wrong size")
+        # functionals on GF(p)^d up to scalar, via a leading 1
+        for pivot in range(d):
+            for rest in itertools.product(range(p), repeat=d - pivot - 1):
+                c = (0,) * pivot + (1,) + rest
+                gens = phi_gens + [
+                    int(self.mul(basis[i], self.power(basis[pivot], p - c[i])))
+                    for i in range(d) if i != pivot]
+                mask = self.span((), gens)[0]
+                if p * int(mask.sum()) != self.order:
+                    raise RuntimeError(
+                        "hyperplane preimage has the wrong order")
+                yield mask, gens
 
     def conjugacy_classes(self) -> list[list[int]]:
         """Classes as lists of element indices, each sorted ascending,
@@ -1237,15 +1270,12 @@ def is_normal(ambient: PermGroup, sub: PermGroup) -> bool:
     return bool(sub._contains_rows(conjugates).all())
 
 
-def _conjugate_keyer(ambient: PermGroup, sub: PermGroup):
-    """key(u.arr, u^-1.arr) -> exact key of the conjugate sub^u.
-
-    Ambient elements are determined by their images of the ambient base
-    B, so sub^u is determined by the sorted rows of its base-image block
-    u.arr[stack[:, u^-1(B)]], each row packed exactly into int64 codes.
+def _base_keyer(ambient: PermGroup):
+    """(base, key): the ambient base B, and key(block) -> the exact key
+    of the subgroup whose elements' images of B are the rows of block.
+    Ambient elements are determined by their images of B, so each row is
+    packed exactly into int64 codes; the key is the sorted codes' bytes.
     """
-    _check_inside(ambient, sub)
-    stack = np.stack([e.arr for e in sub.elements()])
     base = np.asarray(ambient.base(), dtype=np.intp)
     n = ambient.degree
     width = 63 // n.bit_length()
@@ -1254,19 +1284,20 @@ def _conjugate_keyer(ambient: PermGroup, sub: PermGroup):
     for j in range(len(base)):
         weights[j, j // width] = n ** (width - 1 - j % width)
 
-    def key(u_arr: np.ndarray, uinv_arr: np.ndarray) -> bytes:
-        codes = u_arr[stack[:, uinv_arr[base]]].astype(np.int64) @ weights
+    def key(block: np.ndarray) -> bytes:
+        codes = block.astype(np.int64) @ weights
         if chunks == 1:
             return np.sort(codes, axis=0).tobytes()
         return codes[np.lexsort(codes.T[::-1])].tobytes()
 
-    return key
+    return base, key
 
 
 def subgroup_key(ambient: PermGroup, sub: PermGroup) -> bytes:
     """Exact key of a subgroup of the ambient: equal iff equal subgroups."""
-    arr = np.arange(ambient.degree)
-    return _conjugate_keyer(ambient, sub)(arr, arr)
+    _check_inside(ambient, sub)
+    base, key = _base_keyer(ambient)
+    return key(np.stack([e.arr[base] for e in sub.elements()]))
 
 
 def subgroup_orbit(ambient: PermGroup, sub: PermGroup, clock=None):
@@ -1278,10 +1309,12 @@ def subgroup_orbit(ambient: PermGroup, sub: PermGroup, clock=None):
     it (v itself on a new conjugate).  Raises ``ValueError`` when sub is
     not inside the ambient; ticks ``clock`` once per step.
     """
-    key_of = _conjugate_keyer(ambient, sub)
+    _check_inside(ambient, sub)
+    stack = np.stack([e.arr for e in sub.elements()])
+    base, key_of = _base_keyer(ambient)
     ident = Permutation.identity(ambient.degree)
     inverses = [g.inverse().arr for g in ambient.gens]
-    key0 = key_of(ident.arr, ident.arr)
+    key0 = key_of(stack[:, base])
     first = {key0: ident}
     yield key0, ident, ident
     todo = [(ident, ident.arr)]
@@ -1292,7 +1325,8 @@ def subgroup_orbit(ambient: PermGroup, sub: PermGroup, clock=None):
                 clock.tick()
             v = u * g
             vinv = uinv[ginv]
-            key = key_of(v.arr, vinv)
+            # the elements v^-1 s v of sub^v send B to v(s(v^-1(B)))
+            key = key_of(v.arr[stack[:, vinv[base]]])
             known = first.setdefault(key, v)
             if known is v:
                 todo.append((v, vinv))

@@ -573,7 +573,7 @@ def aut_incidence(gq: Quadrangle) -> PermGroup:
             g = Permutation(perm)
             gens.append(g)
             level_gens.append(g)
-            frontier = [v]
+            frontier = list(orbit)
             while frontier:
                 a = frontier.pop()
                 for h in level_gens:

@@ -8,7 +8,8 @@ every proper subgroup lies under a maximal one, and the maximal subgroups
 are exactly the preimages of the hyperplanes of the Frattini quotient, so
 the search is a descent through maximal-subgroup chains with transitivity
 pruning (a subgroup of an intransitive group is intransitive, and regular
-means transitive of order n).
+means transitive of order n).  Maximal subgroups are masks over the
+node's element table; only kept nodes and leaves become PermGroups.
 
 When the point count is not a prime power the Sylow route is unavailable
 and ``enumerate_regular`` falls back to growing sharply transitive sets
@@ -24,7 +25,6 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Mapping
 
 import numpy as np
@@ -34,6 +34,8 @@ from .groups import (
     FiniteGroup,
     PermGroup,
     Permutation,
+    TooLargeError,
+    _base_keyer,
     element_closure,
     find_isomorphism,
     invariant_report,
@@ -150,12 +152,10 @@ def sylow_subgroup(ambient: PermGroup, p: int, *, budget=None) -> PermGroup:
     """
     full = _p_part(ambient.order(), p)
     clock = _Clock(_as_budget(budget))
-    h = PermGroup(ambient.degree, [],
-                  element_bound=ambient.element_bound)
+    h = PermGroup(ambient.degree, [])
     while h.order() < full:
         ngens = normaliser_gens(ambient, h, clock=clock)
-        n_grp = PermGroup(ambient.degree, ngens,
-                          element_bound=ambient.element_bound)
+        n_grp = PermGroup(ambient.degree, ngens)
         found = None
         for e in element_closure(Permutation.identity(ambient.degree),
                                  n_grp.gens, clock=clock):
@@ -167,47 +167,10 @@ def sylow_subgroup(ambient: PermGroup, p: int, *, budget=None) -> PermGroup:
         if found is None:
             raise RuntimeError("no extending p-element found; "
                                "normaliser closure is incomplete")
-        h = PermGroup(ambient.degree, list(h.gens) + [found],
-                      element_bound=ambient.element_bound)
+        h = PermGroup(ambient.degree, list(h.gens) + [found])
         if h.order() % p or full % h.order():
             raise RuntimeError("extension left the p-subgroup chain")
     return h
-
-
-# ---------------------------------------------------------------------------
-# maximal subgroups of a p-group
-# ---------------------------------------------------------------------------
-
-def _maximal_subgroups(h: PermGroup, p: int, clock: "_Clock") -> list[PermGroup]:
-    """All maximal subgroups: preimages of Frattini-quotient hyperplanes,
-    each generated by a greedy generating set of Phi(H) and d-1 more
-    elements, all picked in the closure's element order."""
-    hf = FiniteGroup.from_permgroup(h)
-    phi, phi_gens = hf.span([hf.index[e] for e in hf.frattini()])
-    # coset representatives mapping onto a basis of the elementary abelian
-    # quotient H/Phi
-    basis = hf.span(range(hf.order), phi_gens)[1][len(phi_gens):]
-    d = len(basis)
-    if p ** d * int(phi.sum()) != hf.order:
-        raise RuntimeError("Frattini quotient basis has the wrong size")
-    out = []
-    # functionals on GF(p)^d up to scalar, via a leading 1
-    for pivot in range(d):
-        tail = product(range(p), repeat=d - pivot - 1)
-        for rest in tail:
-            c = (0,) * pivot + (1,) + rest
-            clock.tick()
-            gens = list(phi_gens)
-            for i in range(d):
-                if i == pivot:
-                    continue
-                gens.append(hf.mul(basis[i], hf.power(basis[pivot], p - c[i])))
-            gens = [hf.elements[i] for i in gens]
-            m = PermGroup(h.degree, gens, element_bound=h.element_bound)
-            if m.order() * p != hf.order:
-                raise RuntimeError("hyperplane preimage has the wrong order")
-            out.append(m)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -325,62 +288,66 @@ def describe_group(inv: Mapping) -> str:
 # the search itself
 # ---------------------------------------------------------------------------
 
-def _descend(sylow: PermGroup, target: int, p: int, clock: "_Clock",
+def _descend(sylow: PermGroup, target: int, clock: "_Clock",
              ambient: PermGroup):
-    """All regular subgroups of order ``target`` inside the Sylow group.
+    """All regular subgroups of order ``target`` inside the Sylow group,
+    as (subgroup key, group) pairs.
 
-    Returns (leaves, frontier); the frontier is nonempty only when the
-    budget ran out, and holds the unexpanded internal nodes.
+    A node's maximal subgroups are judged as masks over its element
+    table: the order is the popcount, and transitive (so regular, at
+    order ``target`` = n) means point 0 has every point as an image.  A
+    budget hit carries the leaves so far and the frontier, the
+    generators of the unexpanded internal nodes.
     """
     n = sylow.degree
-    pts = list(range(n))
-    leaves: list[PermGroup] = []
-    leaf_keys = set()
+    base, key_of = _base_keyer(ambient)
+    leaves: list[tuple[bytes, PermGroup]] = []
+    # the orders differ between layers, so one key set serves them all
+    seen: set[bytes] = set()
     layer = [sylow]
-    layer_keys = {subgroup_key(ambient, sylow)}
     try:
         while layer:
-            nxt: list[PermGroup] = []
-            nxt_keys = set()
+            nxt: list[tuple[bytes, PermGroup]] = []
             for h in layer:
-                for m in _maximal_subgroups(h, p, clock):
-                    if not m.is_transitive(pts):
+                hf = FiniteGroup.from_permgroup(h)
+                rows = np.stack([e.arr for e in hf.elements])
+                for mask, gens in hf._maximal_masks():
+                    clock.tick()
+                    sub = rows[mask]
+                    if np.unique(sub[:, 0]).size < n:
                         continue
-                    key = subgroup_key(ambient, m)
-                    if m.order() == target:
-                        if key not in leaf_keys:
-                            leaf_keys.add(key)
-                            if is_regular(m, pts, order=target):
-                                leaves.append(m)
-                    elif key not in nxt_keys and key not in layer_keys:
-                        nxt_keys.add(key)
-                        nxt.append(m)
+                    key = key_of(sub[:, base])
+                    if key not in seen:
+                        seen.add(key)
+                        m = PermGroup(n, [hf.elements[i] for i in gens])
+                        kept = leaves if len(sub) == target else nxt
+                        kept.append((key, m))
             # fuse conjugate internal nodes before descending further;
             # conjugate groups have conjugate subgroup lattices
-            if len(nxt) > 1:
-                nxt, _ = _fuse(ambient, nxt, clock)
-            layer = nxt
-            layer_keys |= nxt_keys
+            layer = (_fuse(ambient, nxt, clock)[0] if len(nxt) > 1
+                     else [m for _, m in nxt])
     except _BudgetHit:
         frontier = [[[int(x) for x in g.arr] for g in h.gens] for h in layer]
         raise _BudgetHit(("descent interrupted", leaves, frontier))
-    return leaves, []
+    return leaves
 
 
-def _fuse(ambient: PermGroup, subs: list[PermGroup], clock: "_Clock"):
+def _fuse(ambient: PermGroup, keyed: list[tuple[bytes, PermGroup]],
+          clock: "_Clock"):
     """One representative per ambient-conjugacy class, and its orbit keys.
 
-    The first group of each class, in input order, is kept; its
-    conjugation orbit is walked once, and a later group is a conjugate
-    exactly when its key lies in a kept group's orbit.
+    ``keyed`` holds (subgroup key, group) pairs.  The first group of
+    each class, in input order, is kept; its conjugation orbit is walked
+    once, and a later group is a conjugate exactly when its key lies in
+    a kept group's orbit.
     """
     reps: list[PermGroup] = []
     orbits: list[set] = []
     seen: set = set()
-    for s in subs:
-        if subgroup_key(ambient, s) in seen:
+    for key, s in keyed:
+        if key in seen:
             continue
-        orbit = {key for key, _, _ in subgroup_orbit(ambient, s, clock)}
+        orbit = {k for k, _, _ in subgroup_orbit(ambient, s, clock)}
         seen |= orbit
         reps.append(s)
         orbits.append(orbit)
@@ -405,44 +372,33 @@ def _transversal_search(ambient: PermGroup, n: int, clock: "_Clock"):
         by_image[t].sort(key=lambda g: g.arr.tobytes())
 
     found: list[PermGroup] = []
-    found_keys = set()
+    # every group reaches grow at most once
     visited = set()
 
-    def close(elems: dict, g: Permutation):
-        # closure of the set with g adjoined; None when it cannot lie
-        # inside a regular group of order n
-        new = dict(elems)
-        queue = [g]
-        while queue:
-            x = queue.pop()
-            b = x.arr.tobytes()
-            if b in new:
-                continue
-            if len(new) >= n:
-                return None
-            if not x.is_identity() and x.fixed_points():
-                return None
-            new[b] = x
-            for y in list(new.values()):
-                queue.append(x * y)
-                queue.append(y * x)
-        if n % len(new):
+    def close(gens: list[Permutation]):
+        # the group the generators generate, by element bytes; None when
+        # it cannot lie inside a regular group of order n
+        elems = {}
+        try:
+            for x in element_closure(ident, gens, limit=n):
+                if elems and x.fixed_points():
+                    return None
+                elems[x.arr.tobytes()] = x
+        except TooLargeError:
             return None
-        return new
+        if n % len(elems):
+            return None
+        return elems
 
     def grow(elems: dict, gens: list[Permutation]):
         clock.tick()
         if len(elems) == n:
-            key = frozenset(elems)
-            if key not in found_keys:
-                found_keys.add(key)
-                found.append(PermGroup(deg, gens,
-                                       element_bound=ambient.element_bound))
+            found.append(PermGroup(deg, gens))
             return
         covered = {e.apply(0) for e in elems.values()}
         t = min(x for x in range(deg) if x not in covered)
         for g in by_image[t]:
-            new = close(elems, g)
+            new = close(gens + [g])
             if new is None:
                 continue
             key = frozenset(new)
@@ -503,8 +459,8 @@ def enumerate_regular(gq, ambient: PermGroup, budget=None, *,
                         raise ValueError("sylow generator outside ambient")
                 if sylow.order() != _p_part(amb_order, p):
                     raise ValueError("given subgroup is not Sylow")
-            leaves, _ = _descend(sylow, n, p, clock, ambient)
-            reps, orbits = _fuse(ambient, leaves, clock)
+            reps, orbits = _fuse(ambient,
+                                 _descend(sylow, n, clock, ambient), clock)
         except _BudgetHit as hit:
             complete = False
             if isinstance(hit.reason, tuple):
@@ -519,7 +475,8 @@ def enumerate_regular(gq, ambient: PermGroup, budget=None, *,
         strategy = "transversal"
         try:
             subs = _transversal_search(ambient, n, clock)
-            reps, orbits = _fuse(ambient, subs, clock)
+            reps, orbits = _fuse(
+                ambient, [(subgroup_key(ambient, s), s) for s in subs], clock)
         except _BudgetHit as hit:
             complete = False
             notes.append(f"budget exceeded: {hit.reason}")

@@ -10,6 +10,7 @@ import time
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
 import pytest
 
 from gquad.constructions import (
@@ -52,6 +53,7 @@ from gquad.incidence import (
     payne_derive,
     verify_gq,
 )
+from gquad.linalg import mat_mul_batch
 from gquad.search import SearchBudget, classify_classes, enumerate_regular
 
 stretch = pytest.mark.skipif(os.environ.get("GQ_STRETCH") != "1",
@@ -298,10 +300,17 @@ def test_isomorphism_dichotomy():
         assert set(iso) == set(e.elements)
         assert set(iso.values()) == set(p.elements)
         # multiplicativity against every generator proves it is a
-        # homomorphism on the whole group
-        for g in e.gens:
-            for h in e.elements:
-                assert iso[g * h] == iso[g] * iso[h]
+        # homomorphism on the whole group: iso[g*h] == iso[g]*iso[h] for
+        # every generator g and element h, on stacks of code matrices
+        dom = np.array([h.data for h in e.elements]).reshape(-1, 4, 4)
+        img = np.array([iso[h].data for h in e.elements]).reshape(-1, 4, 4)
+        gens = [e.index[g] for g in e.gens]
+        where = {row.tobytes(): i
+                 for i, row in enumerate(dom.reshape(len(dom), 16))}
+        products = mat_mul_batch(k, dom[gens][:, None], dom[None])
+        at = [where[row.tobytes()] for row in products.reshape(-1, 16)]
+        assert (img[at].reshape(products.shape)
+                == mat_mul_batch(k, img[gens][:, None], img[None])).all()
     for q in (2, 3, 4, 8, 9):
         groups = _matrix_groups(q)
         assert is_isomorphic_small(groups["E"], groups["P"]) is None, q

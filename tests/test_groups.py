@@ -163,9 +163,10 @@ def test_contains_and_elements():
     assert all(s4.contains(e) for e in elems)
 
 
-def test_elements_bound():
-    big = PermGroup(9, [cyc(9, range(9)), cyc(9, (0, 1))],
-                    element_bound=1000)
+def test_elements_bound(monkeypatch):
+    import gquad.groups as groups
+    monkeypatch.setattr(groups, "_ELEMENT_BOUND", 1000)
+    big = PermGroup(9, [cyc(9, range(9)), cyc(9, (0, 1))])
     with pytest.raises(TooLargeError):
         big.elements()
 
@@ -576,10 +577,11 @@ def test_finite_group_closure_matrix():
     assert len(g.centre()) == 1
 
 
-def test_finite_group_limit():
+def test_finite_group_limit(monkeypatch):
+    import gquad.groups as groups
+    monkeypatch.setattr(groups, "_FINITE_GROUP_LIMIT", 100)
     with pytest.raises(TooLargeError):
-        FiniteGroup(Permutation.identity(8),
-                    sym(8).gens, limit=100)
+        FiniteGroup(Permutation.identity(8), sym(8).gens)
 
 
 def test_invariant_report_s3():
@@ -661,9 +663,8 @@ def test_frattini_against_lattice():
     for grp in cases:
         g = FiniteGroup.from_permgroup(grp)
         fast = set(g.frattini())
-        maxes = g._maximal_subgroups()
         inter = set(g.elements)
-        for m in maxes:
+        for m in maximal_subgroups_oracle(g):
             inter &= m
         assert fast == inter
 
@@ -775,9 +776,12 @@ def test_closure_and_tables_make_no_products(monkeypatch):
         h.elements()
         FiniteGroup.from_permgroup(h)._tables()
     assert calls == []
+    import gquad.groups as groups
+    monkeypatch.setattr(groups, "_FINITE_GROUP_LIMIT", 26)
     with pytest.raises(TooLargeError):
-        FiniteGroup(Mat.identity(k, 4), gens, limit=26)
-    assert FiniteGroup(Mat.identity(k, 4), gens, limit=27).order == 27
+        FiniteGroup(Mat.identity(k, 4), gens)
+    monkeypatch.setattr(groups, "_FINITE_GROUP_LIMIT", 27)
+    assert FiniteGroup(Mat.identity(k, 4), gens).order == 27
 
 
 def test_lazy_closure_prefix_and_clock():
@@ -810,15 +814,18 @@ def test_subgroup_closure_matches_oracle_as_a_set():
         assert set(got) == set(closure_oracle(ident, seed))
 
 
-def test_closure_limits_raise():
+def test_closure_limits_raise(monkeypatch):
+    import gquad.groups as groups
     s5 = sym(5)
     ident = Permutation.identity(5)
     assert len(list(element_closure(ident, s5.gens, limit=120))) == 120
     with pytest.raises(TooLargeError):
         list(element_closure(ident, s5.gens, limit=119))
+    monkeypatch.setattr(groups, "_FINITE_GROUP_LIMIT", 119)
     with pytest.raises(TooLargeError):
-        FiniteGroup(ident, s5.gens, limit=119)
-    small = PermGroup(5, s5.gens, element_bound=119)
+        FiniteGroup(ident, s5.gens)
+    monkeypatch.setattr(groups, "_ELEMENT_BOUND", 119)
+    small = PermGroup(5, s5.gens)
     with pytest.raises(TooLargeError):
         small.elements()
     with pytest.raises(TooLargeError):
@@ -931,24 +938,48 @@ def power_subgroup_oracle(g: FiniteGroup, p: int) -> list:
 
 
 def maximal_subgroups_oracle(g: FiniteGroup) -> list[frozenset]:
-    """The former upward closure of the subgroup lattice over elements."""
-    trivial = frozenset([g.identity])
-    seen, frontier, proper = {trivial}, [trivial], set()
-    everything = frozenset(g.elements)
+    """The former upward closure of the subgroup lattice over elements.
+
+    Products come from a Cayley table made by multiplying every pair of
+    elements.  A subgroup is grown by one element of each of its cosets,
+    since all elements of a coset e*sub give the same group.
+    """
+    els = list(g.elements)
+    pos = {e: i for i, e in enumerate(els)}
+    table = [[pos[a * b] for b in els] for a in els]
+    one = pos[g.identity]
+
+    def close(gens):
+        out, todo = {one}, [one]
+        while todo:
+            x = todo.pop()
+            for k in gens:
+                h = table[x][k]
+                if h not in out:
+                    out.add(h)
+                    todo.append(h)
+        return frozenset(out)
+
+    bottom = frozenset([one])
+    seen, frontier, proper = {bottom}, [(bottom, [])], set()
+    everything = frozenset(range(len(els)))
     while frontier:
         nxt = []
-        for sub in frontier:
-            for e in g.elements:
-                if e not in sub:
-                    bigger = frozenset(closure_oracle(g.identity,
-                                                      list(sub) + [e]))
-                    if bigger not in seen:
-                        seen.add(bigger)
-                        if bigger != everything:
-                            nxt.append(bigger)
-        proper.update(x for x in frontier if x != everything)
+        for sub, gens in frontier:
+            done = set(sub)
+            for e in range(len(els)):
+                if e in done:
+                    continue
+                done.update(table[e][s] for s in sub)
+                bigger = close(gens + [e])
+                if bigger not in seen:
+                    seen.add(bigger)
+                    if bigger != everything:
+                        nxt.append((bigger, gens + [e]))
+        proper.update(x for x, _ in frontier if x != everything)
         frontier = nxt
-    return [x for x in proper if not any(x < y for y in proper)]
+    return [frozenset(els[i] for i in x) for x in proper
+            if not any(x < y for y in proper)]
 
 
 def frattini_oracle(g: FiniteGroup, derived, lattice_bound=1024):
@@ -1072,10 +1103,44 @@ def test_small_groups_match_oracles():
     groups += [gl22, heisenberg3(), order27_exp9()]
     for g in groups:
         assert_matches_oracles(g)
-    # the lattice route itself, as sets of elements
-    for g in groups[:4]:
-        assert sorted(map(sorted_indices(g), g._maximal_subgroups())) == \
-            sorted(map(sorted_indices(g), maximal_subgroups_oracle(g)))
+    # the maximal subgroups, as sets of elements: the lattice route for
+    # the first three, the hyperplane route for D8
+    for g in groups[:3]:
+        got = sorted(np.flatnonzero(m).tolist()
+                     for m in g._lattice_maximal_masks())
+        assert got == sorted(map(sorted_indices(g),
+                                 maximal_subgroups_oracle(g)))
+        with pytest.raises(ValueError):
+            next(g._maximal_masks())
+    d8 = groups[3]
+    assert maximal_masks_as_sets(d8) == \
+        sorted(map(sorted_indices(d8), maximal_subgroups_oracle(d8)))
+
+
+def maximal_masks_as_sets(g):
+    """``_maximal_masks`` as sorted index lists, each mask checked
+    against the span of its generators."""
+    out = []
+    for mask, gens in g._maximal_masks():
+        assert (g.span((), gens)[0] == mask).all()
+        out.append(np.flatnonzero(mask).tolist())
+    return sorted(out)
+
+
+def test_hyperplane_maximal_masks_match_lattice_oracle():
+    # the p-group route: Frattini-quotient hyperplane preimages, against
+    # the upward closure of the subgroup lattice over elements.  E over
+    # GF(4) is elementary abelian of order 64: 63 hyperplanes, and 2825
+    # subgroups in the lattice
+    from gquad.constructions import elation_group
+    d8 = PermGroup(4, [cyc(4, range(4)), Permutation([0, 3, 2, 1])])
+    for g in (FiniteGroup.from_permgroup(d8), heisenberg3(), order27_exp9(),
+              elation_group(GF.default(4))):
+        p = g.is_pgroup()[0]
+        got = maximal_masks_as_sets(g)
+        assert all(len(m) * p == g.order for m in got)
+        assert got == sorted(map(sorted_indices(g),
+                                 maximal_subgroups_oracle(g)))
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -1087,8 +1152,8 @@ def test_descent_groups_match_oracles(q):
     model = build_derived_model(GF.default(q))
     t = _model_groups(q)[2]
     amb = ambient_stabiliser(model.field, model.gq)
-    leaves, _ = search._descend(t, q ** 3, model.field.p,
-                                search._Clock(None), amb)
+    leaves = [m for _, m in search._descend(t, q ** 3, search._Clock(None),
+                                            amb)]
     assert leaves
     for h in leaves + [t]:
         assert_matches_oracles(FiniteGroup.from_permgroup(h))

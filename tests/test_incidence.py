@@ -283,6 +283,18 @@ def test_aut_w33():
     assert g.order() == 51840
 
 
+def test_aut_searches_each_orbit_point_once():
+    # a point already in the orbit of a level's generators, reached from
+    # any orbit point, gets no search and adds no generator
+    from gquad.constructions import build_derived_model
+    cases = [(build_derived_model(GF.default(3)).gq, 51840, 13),
+             (build_qminus5(GF.default(3)), 26127360, 20)]
+    for gq, order, ngens in cases:
+        g = aut_incidence(gq)
+        assert g.order() == order
+        assert len(g.gens) == ngens
+
+
 def test_not_isomorphic_same_parameters():
     # W(3,q) and its dual Q(4,q) both have 40 points and 40 lines at q=3
     # but are not isomorphic for odd q: the joint refinement of the

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -26,6 +27,8 @@ from gquad.groups import (
     invariant_report,
     is_normal,
     is_regular,
+    subgroup_key,
+    subgroup_orbit,
 )
 from gquad.incidence import aut_incidence, build_w3
 from gquad.linalg import Mat
@@ -309,10 +312,152 @@ def test_descend_and_fuse_never_report_invariants(q3, monkeypatch):
     monkeypatch.setattr(gquad.groups, "invariant_report", forbidden)
     monkeypatch.setattr(gquad.search, "invariant_report", forbidden)
     clock = gquad.search._Clock(None)
-    leaves, frontier = gquad.search._descend(t, 27, 3, clock, amb)
-    assert leaves and frontier == []
+    leaves = gquad.search._descend(t, 27, clock, amb)
+    assert leaves
+    assert all(key == subgroup_key(amb, m) for key, m in leaves)
     reps, orbits = gquad.search._fuse(amb, leaves, clock)
     assert len(reps) == 2
+
+
+# ---------------------------------------------------------------------------
+# the descent on the node's table against the former PermGroup descent
+# ---------------------------------------------------------------------------
+
+def maximal_permgroups_oracle(h, p, clock):
+    """The former maximal-subgroup step: each Frattini-quotient
+    hyperplane preimage rebuilt as a PermGroup, whose stabiliser chain
+    checks its order."""
+    hf = FiniteGroup.from_permgroup(h)
+    phi, phi_gens = hf.span([hf.index[e] for e in hf.frattini()])
+    basis = hf.span(range(hf.order), phi_gens)[1][len(phi_gens):]
+    d = len(basis)
+    assert p ** d * int(phi.sum()) == hf.order
+    out = []
+    for pivot in range(d):
+        for rest in product(range(p), repeat=d - pivot - 1):
+            c = (0,) * pivot + (1,) + rest
+            clock.tick()
+            gens = list(phi_gens)
+            for i in range(d):
+                if i != pivot:
+                    gens.append(hf.mul(basis[i],
+                                       hf.power(basis[pivot], p - c[i])))
+            m = PermGroup(h.degree, [hf.elements[i] for i in gens])
+            assert m.order() * p == hf.order
+            out.append(m)
+    return out
+
+
+def descend_oracle(sylow, target, p, clock, ambient):
+    """The former descent: every maximal subgroup a PermGroup, judged by
+    its orbit, its chain order, ``subgroup_key`` and ``is_regular``, and
+    the conjugate internal nodes fused by keys computed again.  The
+    leaves are (key, group) pairs, as from ``_descend``."""
+    pts = list(range(sylow.degree))
+    leaves, leaf_keys = [], set()
+    layer = [sylow]
+    layer_keys = {subgroup_key(ambient, sylow)}
+    try:
+        while layer:
+            nxt, nxt_keys = [], set()
+            for h in layer:
+                for m in maximal_permgroups_oracle(h, p, clock):
+                    if not m.is_transitive(pts):
+                        continue
+                    key = subgroup_key(ambient, m)
+                    if m.order() == target:
+                        if key not in leaf_keys:
+                            leaf_keys.add(key)
+                            if is_regular(m, pts, order=target):
+                                leaves.append((key, m))
+                    elif key not in nxt_keys and key not in layer_keys:
+                        nxt_keys.add(key)
+                        nxt.append(m)
+            if len(nxt) > 1:
+                reps, seen = [], set()
+                for m in nxt:
+                    if subgroup_key(ambient, m) not in seen:
+                        seen |= {k for k, _, _ in
+                                 subgroup_orbit(ambient, m, clock)}
+                        reps.append(m)
+                nxt = reps
+            layer = nxt
+            layer_keys |= nxt_keys
+    except gquad.search._BudgetHit:
+        frontier = [[[int(x) for x in g.arr] for g in h.gens] for h in layer]
+        raise gquad.search._BudgetHit(("descent interrupted", leaves,
+                                       frontier))
+    return leaves
+
+
+def _keyed_gens(leaves):
+    return [(key, [g.arr.tolist() for g in m.gens]) for key, m in leaves]
+
+
+def _descent_setting(q):
+    model = _model(q)
+    e, p, t = _perm_groups(model)
+    if q == 3:
+        amb = aut_incidence(model.gq)
+    else:
+        amb = ambient_stabiliser(model.field, model.gq)
+    return t, q ** 3, model.field.p, amb
+
+
+def _interrupted(descend, nodes):
+    with pytest.raises(gquad.search._BudgetHit) as hit:
+        descend(gquad.search._Clock(SearchBudget(nodes=nodes)))
+    reason, leaves, frontier = hit.value.reason
+    return reason, _keyed_gens(leaves), frontier
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_descend_matches_oracle(q):
+    # the same leaves, in order, with the same keys and generators, and
+    # the same clock ticks.  Wherever a node budget stops both, the frontier is
+    # the same; the oracle builds a node's maximal subgroups before it
+    # judges any, so it may hold fewer of the leaves found so far.  q=4
+    # descends through two layers with a fusion between.
+    t, target, p, amb = _descent_setting(q)
+
+    def descend(clock):
+        return gquad.search._descend(t, target, clock, amb)
+
+    def oracle(clock):
+        return descend_oracle(t, target, p, clock, amb)
+
+    clock, oracle_clock = gquad.search._Clock(None), gquad.search._Clock(None)
+    got = _keyed_gens(descend(clock))
+    want = _keyed_gens(oracle(oracle_clock))
+    assert got and got == want
+    assert clock.nodes == oracle_clock.nodes
+    n = clock.nodes
+    for nodes in sorted({k for k in (2, n // 3, 2 * n // 3, n - 10, n - 1)
+                         if k > 0}):
+        reason, part, frontier = _interrupted(descend, nodes)
+        old_reason, old, old_frontier = _interrupted(oracle, nodes)
+        assert (reason, frontier) == (old_reason, old_frontier)
+        assert part == want[:len(part)] and len(part) >= len(old)
+
+
+def test_descend_chains_no_discarded_subgroup(q3, monkeypatch):
+    # a maximal subgroup that is intransitive or already seen never
+    # becomes a PermGroup, so no stabiliser chain is built for it
+    model, e, p, t, amb = q3
+    amb.order(), t.order()
+    chained = []
+    real = PermGroup._chain
+
+    def counted(self):
+        if self._levels is None:
+            chained.append(self)
+        return real(self)
+
+    monkeypatch.setattr(PermGroup, "_chain", counted)
+    leaves = gquad.search._descend(t, 27, gquad.search._Clock(None), amb)
+    judged = list(FiniteGroup.from_permgroup(t)._maximal_masks())
+    assert len(judged) > len(leaves)
+    assert all(any(c is m for _, m in leaves) for c in chained)
 
 
 def test_enumerate_generic_sylow_agrees_q2(q2):

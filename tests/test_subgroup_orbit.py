@@ -21,6 +21,7 @@ from gquad.constructions import (
 from gquad.gf import GF
 from gquad.groups import (
     UNKNOWN,
+    FiniteGroup,
     PermGroup,
     Permutation,
     is_conjugate_subgroup,
@@ -32,7 +33,6 @@ from gquad.search import (
     SearchBudget,
     _BudgetHit,
     _Clock,
-    _maximal_subgroups,
     normaliser_gens,
 )
 
@@ -48,14 +48,16 @@ def _conjugate(group: PermGroup, v: Permutation) -> PermGroup:
     return PermGroup(group.degree, [vi * s * v for s in group.gens])
 
 
-def _descent_subgroups(sylow: PermGroup, p: int, target: int):
+def _descent_subgroups(sylow: PermGroup, target: int):
     """The Sylow group and every subgroup its descent to order target
     builds, transitive or not."""
     out, layer = [sylow], [sylow]
     while layer:
         nxt = []
         for h in layer:
-            for m in _maximal_subgroups(h, p, _Clock(None)):
+            hf = FiniteGroup.from_permgroup(h)
+            for _, gens in hf._maximal_masks():
+                m = PermGroup(h.degree, [hf.elements[i] for i in gens])
                 out.append(m)
                 if m.order() > target:
                     nxt.append(m)
@@ -69,7 +71,7 @@ def _setting(q: int, ambient):
     e, p, t = (action_from_linear(k, gens(k), gq)
                for gens in (elation_gens, shear_gens, unipotent_gens))
     amb = ambient(model)
-    subs = _descent_subgroups(t, k.p, q ** 3) + [e, p]
+    subs = _descent_subgroups(t, q ** 3) + [e, p]
     return amb, e, t, subs
 
 
