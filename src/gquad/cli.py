@@ -295,7 +295,7 @@ def _cmd_check_regular(args, cfg: RunConfig) -> int:
     gq = load_gq(args.gq)
     if group.degree != gq.n_points:
         raise ValueError("group degree does not match the point count")
-    ok = is_regular(group, range(gq.n_points), order=group.order())
+    ok = is_regular(group, range(gq.n_points))
     print(f"regular: {'true' if ok else 'false'}")
     return 0
 

@@ -17,21 +17,25 @@ of each element, which multiplies index arrays by walks through R.
 Element orders, the centre, conjugacy classes, subgroup and normal
 closures, the lower central series, power and Frattini subgroups and
 isomorphisms are all computed from them with numpy; no element products
-are made after the closure.
+are made after the closure.  A PermGroup has one FiniteGroup, its
+element table, closed on first use and cached: its elements, subgroup
+keys and conjugation-orbit walk all read the table's image-array rows,
+and the walk steps through conjugators as image arrays.
 
-``element_closure`` is the one element closure: PermGroup elements,
-FiniteGroup elements and the search's lazy element walks all come from
-it.  It multiplies blocks of element code rows by every generator at
-once and keys the products exactly.  Its order is a contract: the
-identity first, then out[i] * g for i ascending and g in generator
-order, each product kept only when new, so every element after the
-identity is an earlier element times a generator.
+``element_closure`` is the one element closure: element tables and the
+search's lazy element walks all come from it.  It multiplies blocks of
+element code rows by every generator at once and keys the products
+exactly.  Its order is a contract: the identity first, then out[i] * g
+for i ascending and g in generator order, each product kept only when
+new, so every element after the identity is an earlier element times a
+generator.
 
 Commutators are [g, h] = g^-1 h^-1 g h throughout.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -100,8 +104,9 @@ def element_closure(identity, gens: Sequence, *, limit: int | None = None,
 
     Iterating the walk yields the elements; it raises ``TooLargeError`` on
     a new element past ``limit`` elements and ticks ``clock`` once per new
-    element.  Once the walk is exhausted, ``walk.right()`` is the
-    right-multiplication table R[i, k] = index(elements[i] * gens[k]).
+    element.  ``walk.tables()`` closes it and returns the code rows of
+    all elements and the right-multiplication table
+    R[i, k] = index(elements[i] * gens[k]).
     """
     return _Closure(identity, gens, limit, clock)
 
@@ -144,6 +149,14 @@ class _Index(dict):
         return i
 
 
+def _objects(identity, rows: np.ndarray) -> list:
+    """Elements of the type of ``identity`` from their code rows."""
+    if isinstance(identity, Permutation):
+        return Permutation._from_rows(rows)
+    n = identity.rows
+    return [Mat(identity.field, n, n, r) for r in rows.tolist()]
+
+
 class _Closure:
     """The block closure behind ``element_closure``.
 
@@ -156,23 +169,26 @@ class _Closure:
     the order of the one-at-a-time loop, and the same pass writes the
     block's rows of R.  Blocks start at one row and double, up to
     ``_CLOSURE_BLOCK_CELLS`` product cells, so a walk stopped early
-    wastes little.  Element objects are made from the new rows only.
+    wastes little.  Element objects are made from the new rows only, and
+    not at all when ``tables()`` closes the walk.
     """
 
     def __init__(self, identity, gens, limit, clock):
         self._right: list[np.ndarray] = []
+        self._bare = False
         self._walk = self._blocks(identity, list(gens), limit, clock)
 
     def __iter__(self):
         return self._walk
 
-    def __next__(self):
-        return next(self._walk)
-
-    def right(self) -> np.ndarray:
-        """The rows of R for the rows multiplied so far: all of R once
-        the walk is exhausted."""
-        return np.concatenate(self._right)
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, R): the code rows of all elements in closure order,
+        read-only, and R.  The rest of the walk is closed with the same
+        limit and clock ticks, making no element objects."""
+        self._bare = True
+        for _ in self._walk:
+            pass
+        return self._rows, np.concatenate(self._right)
 
     def _blocks(self, identity, gens, limit, clock):
         d = len(gens)
@@ -185,8 +201,6 @@ class _Closure:
 
             def product(block):
                 return stack.take(block[:, None, :] + offsets)
-
-            make = Permutation._from_rows
         elif isinstance(identity, Mat):
             field, n = identity.field, identity.rows
             radix, width = field.q, n * n
@@ -198,9 +212,6 @@ class _Closure:
             def product(block):
                 return mat_mul_batch(field, block.reshape(-1, 1, n, n),
                                      stack).astype(ident.dtype)
-
-            def make(rows):
-                return [Mat(field, n, n, r) for r in rows.tolist()]
         else:
             raise TypeError(
                 f"no closure over {type(identity).__name__} elements")
@@ -231,13 +242,16 @@ class _Closure:
                 rows = grown
             rows[size:len(index)] = fresh
             size = len(index)
-            for e in make(fresh):
+            for e in (range(len(fresh)) if self._bare
+                      else _objects(identity, fresh)):
                 if limit is not None and count >= limit:
                     raise TooLargeError(f"closure exceeds limit {limit}")
                 if clock is not None:
                     clock.tick()
                 count += 1
                 yield e
+        self._rows = rows[:size].copy() if len(rows) > size else rows
+        self._rows.setflags(write=False)
 
 
 # transversals are stored as full permutation matrices up to this many
@@ -251,10 +265,6 @@ _CHAIN_BLOCK_CELLS = 1 << 18
 # numpy's take copies its indices to intp; ``_take_rows`` gathers a block
 # in slices of at most this many cells, so that copy stays near 0.5 MiB
 _TAKE_CELLS = 1 << 16
-
-# PermGroup.elements() refuses a group of larger order
-_ELEMENT_BOUND = 2**20
-
 
 def _dtype_for(n: int):
     return np.uint16 if n <= 0xFFFF else np.uint32
@@ -356,11 +366,6 @@ class Permutation:
 
     def order(self) -> int:
         return math.lcm(*self.cycle_lengths())
-
-    def fixed_points(self) -> list[int]:
-        return list(np.nonzero(self.arr ==
-                               np.arange(self.degree,
-                                         dtype=self.arr.dtype))[0])
 
     def least_moved(self) -> int | None:
         diff = np.nonzero(self.arr != np.arange(self.degree,
@@ -632,8 +637,7 @@ class PermGroup:
         self.gens = tuple(gens)
         self._levels: list[_Level] | None = None
         self._order: int | None = None
-        self._elements: list[Permutation] | None = None
-        self._right: np.ndarray | None = None
+        self._table: FiniteGroup | None = None
 
     # -- stabiliser chain ------------------------------------------------
 
@@ -748,16 +752,7 @@ class PermGroup:
     # -- element enumeration ----------------------------------------------
 
     def elements(self) -> list[Permutation]:
-        if self._elements is None:
-            if self.order() > _ELEMENT_BOUND:
-                raise TooLargeError(
-                    f"order {self.order()} exceeds element bound "
-                    f"{_ELEMENT_BOUND}")
-            walk = element_closure(Permutation.identity(self.degree),
-                                   self.gens)
-            self._elements = list(walk)
-            self._right = walk.right()
-        return self._elements
+        return FiniteGroup.from_permgroup(self).elements
 
     def __repr__(self):
         return (f"PermGroup(degree={self.degree}, "
@@ -834,9 +829,10 @@ _LATTICE_BOUND = 1024
 class FiniteGroup:
     """A finite group as its element list and integer tables over it.
 
-    ``elements`` is the closure of the generators in the order of
-    ``element_closure``; element i is named by its index i, and
-    ``index`` maps an element back to it.  The closure also fills the
+    ``rows`` holds the code rows of the closure of the generators in the
+    order of ``element_closure``; element i is named by its index i, and
+    ``elements`` and ``index``, made when first read, map between
+    indices and element objects.  The closure also fills the
     right-multiplication table R[i, k] = index(elements[i] * gens[k]), so
     no element is multiplied after it; every invariant is computed from R
     with numpy.  The closure first reached element j as an earlier
@@ -853,23 +849,25 @@ class FiniteGroup:
     def __init__(self, identity, generators: Iterable):
         gens = tuple(g for g in dict.fromkeys(generators) if g != identity)
         walk = element_closure(identity, gens, limit=_FINITE_GROUP_LIMIT)
-        self._setup(identity, gens, list(walk), walk.right())
-
-    def _setup(self, identity, gens: tuple, elements: list,
-               right: np.ndarray):
         self.identity = identity
         self.gens = gens
-        self.elements = elements
-        self.index = {e: i for i, e in enumerate(elements)}
-        self._right = right
+        self.rows, self._right = walk.tables()
         self._words: np.ndarray | None = None
         self._rmul: dict[int, np.ndarray] = {}
         self._orders: list[int] | None = None
         self._classes: list[list[int]] | None = None
 
+    @functools.cached_property
+    def elements(self) -> list:
+        return [self.identity] + _objects(self.identity, self.rows[1:])
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return {e: i for i, e in enumerate(self.elements)}
+
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
 
     def __contains__(self, e) -> bool:
         return e in self.index
@@ -1172,11 +1170,15 @@ class FiniteGroup:
 
     @classmethod
     def from_permgroup(cls, g: PermGroup) -> "FiniteGroup":
-        """The same group over g's cached closure, not closed again."""
-        elements = g.elements()
-        group = cls.__new__(cls)
-        group._setup(elements[0], g.gens, elements, g._right)
-        return group
+        """g's one element table, closed on first use and cached on g; an
+        order past ``_FINITE_GROUP_LIMIT`` is refused before closing."""
+        if g._table is None:
+            if g.order() > _FINITE_GROUP_LIMIT:
+                raise TooLargeError(
+                    f"order {g.order()} exceeds element bound "
+                    f"{_FINITE_GROUP_LIMIT}")
+            g._table = cls(Permutation.identity(g.degree), g.gens)
+        return g._table
 
 
 def _as_finite_group(g) -> FiniteGroup:
@@ -1297,7 +1299,7 @@ def subgroup_key(ambient: PermGroup, sub: PermGroup) -> bytes:
     """Exact key of a subgroup of the ambient: equal iff equal subgroups."""
     _check_inside(ambient, sub)
     base, key = _base_keyer(ambient)
-    return key(np.stack([e.arr[base] for e in sub.elements()]))
+    return key(FiniteGroup.from_permgroup(sub).rows[:, base])
 
 
 def subgroup_orbit(ambient: PermGroup, sub: PermGroup, clock=None):
@@ -1305,31 +1307,36 @@ def subgroup_orbit(ambient: PermGroup, sub: PermGroup, clock=None):
 
     Yields ``(key, v, first)`` for the start (v the identity) and for
     every step sub^u -> sub^(u*g) of a depth-first walk: key is the
-    ``subgroup_key`` of sub^v, first the conjugator that first reached
-    it (v itself on a new conjugate).  Raises ``ValueError`` when sub is
-    not inside the ambient; ticks ``clock`` once per step.
+    ``subgroup_key`` of sub^v, v the conjugator's image array and first
+    the array that first reached sub^v (v itself on a new conjugate).
+    Raises ``ValueError`` when sub is not inside the ambient; ticks
+    ``clock`` once per step.
     """
     _check_inside(ambient, sub)
-    stack = np.stack([e.arr for e in sub.elements()])
+    stack = FiniteGroup.from_permgroup(sub).rows
     base, key_of = _base_keyer(ambient)
-    ident = Permutation.identity(ambient.degree)
-    inverses = [g.inverse().arr for g in ambient.gens]
+    ident = np.arange(ambient.degree, dtype=stack.dtype)
+    gens = np.stack([g.arr for g in ambient.gens] or [ident])
+    gens = gens[:len(ambient.gens)]
+    inverses = _invert_rows(gens)
     key0 = key_of(stack[:, base])
     first = {key0: ident}
     yield key0, ident, ident
-    todo = [(ident, ident.arr)]
+    todo = [(ident, ident)]
     while todo:
         u, uinv = todo.pop()
-        for g, ginv in zip(ambient.gens, inverses):
+        # the children v = u * g, for every g, in one gather: v applies
+        # u, then g, and v^-1 = g^-1 * u^-1
+        for v, vinv in zip(gens[:, u], uinv[inverses]):
             if clock is not None:
                 clock.tick()
-            v = u * g
-            vinv = uinv[ginv]
             # the elements v^-1 s v of sub^v send B to v(s(v^-1(B)))
-            key = key_of(v.arr[stack[:, vinv[base]]])
-            known = first.setdefault(key, v)
-            if known is v:
-                todo.append((v, vinv))
+            key = key_of(v[stack[:, vinv[base]]])
+            known = first.get(key)
+            if known is None:
+                # copies: a row would keep its whole block alive
+                known = first[key] = v = v.copy()
+                todo.append((v, vinv.copy()))
             yield key, v, known
 
 
@@ -1346,12 +1353,13 @@ def is_conjugate_subgroup(ambient: PermGroup, h1: PermGroup,
         return None
     for step, (key, w, first) in enumerate(subgroup_orbit(ambient, h1)):
         if first is w and key == target:
-            # verify the witness for real, not just by key
-            wi = w.inverse()
-            for s in h1.gens:
-                if not h2.contains(wi * s * w):
-                    raise AssertionError("conjugate key mismatch")
-            return w
+            # verify the witness for real, not just by key: each w^-1 s w
+            # applies w^-1, then s, then w
+            rows = FiniteGroup.from_permgroup(h1).rows
+            winv = _invert_rows(w[None, :])[0]
+            if not h2._contains_rows(w[rows[:, winv]]).all():
+                raise AssertionError("conjugate key mismatch")
+            return Permutation(w, _checked=True)
         if step >= budget:
             return UNKNOWN
     return None

@@ -10,11 +10,13 @@ the search is a descent through maximal-subgroup chains with transitivity
 pruning (a subgroup of an intransitive group is intransitive, and regular
 means transitive of order n).  Maximal subgroups are masks over the
 node's element table; only kept nodes and leaves become PermGroups.
+Conjugate subgroups are fused by walking conjugation orbits, whose
+steps are image arrays, not Permutations.
 
 When the point count is not a prime power the Sylow route is unavailable
 and ``enumerate_regular`` falls back to growing sharply transitive sets
-element by element, which is far slower and only sensible for small
-ambients.
+on the ambient's element table, one candidate element at a time, which
+is far slower and only sensible for small ambients.
 
 Everything here is deterministic: no randomness, stable orderings, and the
 resulting table is sorted by invariant fingerprint so repeated runs emit
@@ -34,8 +36,8 @@ from .groups import (
     FiniteGroup,
     PermGroup,
     Permutation,
-    TooLargeError,
     _base_keyer,
+    _invert_rows,
     element_closure,
     find_isomorphism,
     invariant_report,
@@ -62,9 +64,14 @@ class NotCompatibleError(ValueError):
 
 
 class _BudgetHit(Exception):
-    def __init__(self, reason):
+    """A budget ran out; a search raises it again with its ``leaves``
+    found so far and its unexpanded ``frontier``."""
+
+    def __init__(self, reason, leaves=None, frontier=()):
         super().__init__(reason)
         self.reason = reason
+        self.leaves = leaves
+        self.frontier = list(frontier)
 
 
 @dataclass
@@ -123,15 +130,17 @@ def normaliser_gens(ambient: PermGroup, sub: PermGroup, *,
     if not sub.gens:
         return list(ambient.gens)
     out: list[Permutation] = list(sub.gens)
-    seen = {g.arr.tobytes() for g in out}
+    ident = Permutation.identity(ambient.degree)
+    seen = {g.arr.tobytes() for g in (ident, *out)}
     for _, v, first in subgroup_orbit(ambient, sub, clock):
         if first is v:
             continue
-        s = v * first.inverse()
-        b = s.arr.tobytes()
-        if not s.is_identity() and b not in seen:
+        # v * first^-1: apply v, then first^-1
+        s = _invert_rows(first[None, :])[0][v]
+        b = s.tobytes()
+        if b not in seen:
             seen.add(b)
-            out.append(s)
+            out.append(Permutation(s, _checked=True))
     return out
 
 
@@ -310,25 +319,29 @@ def _descend(sylow: PermGroup, target: int, clock: "_Clock",
             nxt: list[tuple[bytes, PermGroup]] = []
             for h in layer:
                 hf = FiniteGroup.from_permgroup(h)
-                rows = np.stack([e.arr for e in hf.elements])
-                for mask, gens in hf._maximal_masks():
-                    clock.tick()
-                    sub = rows[mask]
-                    if np.unique(sub[:, 0]).size < n:
-                        continue
-                    key = key_of(sub[:, base])
-                    if key not in seen:
-                        seen.add(key)
-                        m = PermGroup(n, [hf.elements[i] for i in gens])
-                        kept = leaves if len(sub) == target else nxt
-                        kept.append((key, m))
+                try:
+                    for mask, gens in hf._maximal_masks():
+                        clock.tick()
+                        sub = hf.rows[mask]
+                        if np.unique(sub[:, 0]).size < n:
+                            continue
+                        key = key_of(sub[:, base])
+                        if key not in seen:
+                            seen.add(key)
+                            m = PermGroup(n, Permutation._from_rows(
+                                hf.rows[gens]))
+                            kept = leaves if len(sub) == target else nxt
+                            kept.append((key, m))
+                finally:
+                    # h's table may outlive the node, its right products not
+                    hf._rmul.clear()
             # fuse conjugate internal nodes before descending further;
             # conjugate groups have conjugate subgroup lattices
             layer = (_fuse(ambient, nxt, clock)[0] if len(nxt) > 1
                      else [m for _, m in nxt])
     except _BudgetHit:
         frontier = [[[int(x) for x in g.arr] for g in h.gens] for h in layer]
-        raise _BudgetHit(("descent interrupted", leaves, frontier))
+        raise _BudgetHit("descent interrupted", leaves, frontier) from None
     return leaves
 
 
@@ -355,65 +368,71 @@ def _fuse(ambient: PermGroup, keyed: list[tuple[bytes, PermGroup]],
 
 
 def _transversal_search(ambient: PermGroup, n: int, clock: "_Clock"):
-    """Regular subgroups by growing sharply transitive closed sets.
+    """Regular subgroups as (subgroup key, group) pairs, by growing
+    sharply transitive closed sets on the ambient's element table.
 
-    Every non-identity element of a regular group is fixed-point-free, so
-    the search space is the fixed-point-free elements of the ambient,
-    bucketed by where they send the base point.  Only viable for small
-    ambient groups; the Sylow descent is the main route.
+    The candidates are the fixed-point-free elements whose order divides
+    n, bucketed by where they send point 0 and in the byte order of their
+    rows.  A group is a sorted index array, grown by the table's products
+    and dropped once it holds a non-candidate or outgrows n.  Only viable
+    for small ambient groups; the Sylow descent is the main route.
     """
-    deg = ambient.degree
-    ident = Permutation.identity(deg)
-    by_image: dict[int, list[Permutation]] = {t: [] for t in range(1, deg)}
-    for e in element_closure(ident, ambient.gens, clock=clock):
-        if not e.is_identity() and not e.fixed_points():
-            by_image[e.apply(0)].append(e)
-    for t in by_image:
-        by_image[t].sort(key=lambda g: g.arr.tobytes())
-
-    found: list[PermGroup] = []
+    table = FiniteGroup.from_permgroup(ambient)
+    clock.tick(table.order - 1)     # one per element, as its closure ticks
+    rows, deg = table.rows, ambient.degree
+    base, key_of = _base_keyer(ambient)
+    ok = (rows != np.arange(deg, dtype=rows.dtype)).all(axis=1)
+    ok[ok] = table.power(np.flatnonzero(ok), n) == 0
+    cand = np.flatnonzero(ok)
+    cand = cand[np.lexsort(rows[cand].view(np.uint8).T[::-1])]
+    cand = cand[np.argsort(rows[cand, 0], kind="stable")]
+    starts = np.searchsorted(rows[cand, 0], np.arange(deg + 1))
+    found: list[tuple[bytes, PermGroup]] = []
     # every group reaches grow at most once
     visited = set()
 
-    def close(gens: list[Permutation]):
-        # the group the generators generate, by element bytes; None when
-        # it cannot lie inside a regular group of order n
-        elems = {}
-        try:
-            for x in element_closure(ident, gens, limit=n):
-                if elems and x.fixed_points():
-                    return None
-                elems[x.arr.tobytes()] = x
-        except TooLargeError:
-            return None
-        if n % len(elems):
-            return None
-        return elems
+    def extend(members: np.ndarray, gens: list[int], new: np.ndarray):
+        # the group generated by members (by gens[:-1]) and gens[-1], from
+        # the coset new = members * gens[-1]; None when it cannot lie in a
+        # regular group of order n
+        mask = np.zeros(table.order, dtype=bool)
+        mask[members] = True
+        size = len(members)
+        while (new := np.unique(new[~mask[new]])).size:
+            size += len(new)
+            if size > n or not ok[new].all():
+                return None
+            mask[new] = True
+            new = table.mul(new[:, None], gens).ravel()
+        return None if n % size else np.flatnonzero(mask)
 
-    def grow(elems: dict, gens: list[Permutation]):
+    def grow(members: np.ndarray, gens: list[int]):
         clock.tick()
-        if len(elems) == n:
-            found.append(PermGroup(deg, gens))
+        if len(members) == n:
+            found.append((key_of(rows[members][:, base]),
+                          PermGroup(deg, Permutation._from_rows(rows[gens]))))
             return
-        covered = {e.apply(0) for e in elems.values()}
-        t = min(x for x in range(deg) if x not in covered)
-        for g in by_image[t]:
-            new = close(gens + [g])
-            if new is None:
-                continue
-            key = frozenset(new)
-            if key in visited:
-                continue
-            visited.add(key)
-            grow(new, gens + [g])
+        t = np.setdiff1d(np.arange(deg), rows[members, 0])[0]
+        bucket = cand[starts[t]:starts[t + 1]]
+        # the cosets members * g of the whole bucket in one walk
+        cosets = table.mul(members[:, None], bucket)
+        viable = ok[cosets].all(axis=0)
+        for g, coset in zip(bucket[viable].tolist(), cosets.T[viable]):
+            new = extend(members, gens + [g], coset)
+            if new is not None and (key := new.tobytes()) not in visited:
+                visited.add(key)
+                grow(new, gens + [g])
 
-    grow({ident.arr.tobytes(): ident}, [])
+    try:
+        grow(np.zeros(1, dtype=np.intp), [])
+    except _BudgetHit:
+        raise _BudgetHit("transversal search interrupted", found) from None
     return found
 
 
 def _sorted_rows_digest(group: PermGroup) -> bytes:
     """sha256 of the sorted element rows: the class-order tie-break."""
-    rows = np.unique(np.stack([e.arr for e in group.elements()]), axis=0)
+    rows = np.unique(FiniteGroup.from_permgroup(group).rows, axis=0)
     return hashlib.sha256(rows.tobytes()).digest()
 
 
@@ -441,14 +460,16 @@ def enumerate_regular(gq, ambient: PermGroup, budget=None, *,
             f"point count {n} does not divide the ambient order {amb_order}")
     clock = _Clock(_as_budget(budget))
     pk = _prime_power(n)
+    strategy = "transversal" if pk is None else "sylow-descent"
     complete = True
     notes: list[str] = []
     frontier: list = []
 
-    if pk is not None:
-        p, _ = pk
-        strategy = "sylow-descent"
-        try:
+    try:
+        if pk is None:
+            keyed = _transversal_search(ambient, n, clock)
+        else:
+            p, _ = pk
             if sylow is None:
                 sylow = sylow_subgroup(ambient, p, budget=clock.budget)
             else:
@@ -459,28 +480,16 @@ def enumerate_regular(gq, ambient: PermGroup, budget=None, *,
                         raise ValueError("sylow generator outside ambient")
                 if sylow.order() != _p_part(amb_order, p):
                     raise ValueError("given subgroup is not Sylow")
-            reps, orbits = _fuse(ambient,
-                                 _descend(sylow, n, clock, ambient), clock)
-        except _BudgetHit as hit:
-            complete = False
-            if isinstance(hit.reason, tuple):
-                reason, leaves, frontier = hit.reason
-                notes.append(f"budget exceeded: {reason}")
-                notes.append(f"{len(leaves)} regular subgroups found "
-                             "before interruption; conjugacy fusion skipped")
-            else:
-                notes.append(f"budget exceeded: {hit.reason}")
-            reps, orbits = [], []
-    else:
-        strategy = "transversal"
-        try:
-            subs = _transversal_search(ambient, n, clock)
-            reps, orbits = _fuse(
-                ambient, [(subgroup_key(ambient, s), s) for s in subs], clock)
-        except _BudgetHit as hit:
-            complete = False
-            notes.append(f"budget exceeded: {hit.reason}")
-            reps, orbits = [], []
+            keyed = _descend(sylow, n, clock, ambient)
+        reps, orbits = _fuse(ambient, keyed, clock)
+    except _BudgetHit as hit:
+        complete = False
+        notes.append(f"budget exceeded: {hit.reason}")
+        if hit.leaves is not None:
+            notes.append(f"{len(hit.leaves)} regular subgroups found "
+                         "before interruption; conjugacy fusion skipped")
+        frontier = hit.frontier
+        reps, orbits = [], []
 
     # a template matches the classes whose conjugation orbit holds its key
     tmpl_keys = {}

@@ -165,10 +165,20 @@ def test_contains_and_elements():
 
 def test_elements_bound(monkeypatch):
     import gquad.groups as groups
-    monkeypatch.setattr(groups, "_ELEMENT_BOUND", 1000)
+    monkeypatch.setattr(groups, "_FINITE_GROUP_LIMIT", 1000)
+    calls = []
+    real = groups.element_closure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "element_closure", counted)
     big = PermGroup(9, [cyc(9, range(9)), cyc(9, (0, 1))])
     with pytest.raises(TooLargeError):
         big.elements()
+    # refused from the chain's order, before any closure
+    assert calls == []
 
 
 def test_point_stabilizer():
@@ -824,7 +834,6 @@ def test_closure_limits_raise(monkeypatch):
     monkeypatch.setattr(groups, "_FINITE_GROUP_LIMIT", 119)
     with pytest.raises(TooLargeError):
         FiniteGroup(ident, s5.gens)
-    monkeypatch.setattr(groups, "_ELEMENT_BOUND", 119)
     small = PermGroup(5, s5.gens)
     with pytest.raises(TooLargeError):
         small.elements()
@@ -854,7 +863,10 @@ def test_from_permgroup_does_not_close_again(monkeypatch):
     b = FiniteGroup.from_permgroup(g)
     invariant_report(g)
     assert whole_group_closures() == 1
+    # one table per group, holding the closure's own rows
+    assert a is b
     assert a.elements is elements and b.elements is elements
+    assert (a.rows == np.stack([e.arr for e in elements])).all()
     assert a.gens == g.gens and a.identity == Permutation.identity(g.degree)
 
 

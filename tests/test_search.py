@@ -5,6 +5,7 @@ import sys
 from itertools import product
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import gquad
@@ -24,13 +25,15 @@ from gquad.groups import (
     FiniteGroup,
     PermGroup,
     Permutation,
+    TooLargeError,
+    element_closure,
     invariant_report,
     is_normal,
     is_regular,
     subgroup_key,
     subgroup_orbit,
 )
-from gquad.incidence import aut_incidence, build_w3
+from gquad.incidence import aut_incidence, build_w3, dual
 from gquad.linalg import Mat
 from gquad.search import (
     NotCompatibleError,
@@ -385,8 +388,8 @@ def descend_oracle(sylow, target, p, clock, ambient):
             layer_keys |= nxt_keys
     except gquad.search._BudgetHit:
         frontier = [[[int(x) for x in g.arr] for g in h.gens] for h in layer]
-        raise gquad.search._BudgetHit(("descent interrupted", leaves,
-                                       frontier))
+        raise gquad.search._BudgetHit("descent interrupted", leaves,
+                                      frontier)
     return leaves
 
 
@@ -407,8 +410,8 @@ def _descent_setting(q):
 def _interrupted(descend, nodes):
     with pytest.raises(gquad.search._BudgetHit) as hit:
         descend(gquad.search._Clock(SearchBudget(nodes=nodes)))
-    reason, leaves, frontier = hit.value.reason
-    return reason, _keyed_gens(leaves), frontier
+    hit = hit.value
+    return hit.reason, _keyed_gens(hit.leaves), hit.frontier
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -519,6 +522,97 @@ def test_transversal_on_symmetric_group():
                      "nonabelian of order 6, exponent 6"]
 
 
+def transversal_oracle(ambient: PermGroup, n: int, clock):
+    """The former transversal search: fixed-point-free Permutations
+    bucketed by the image of 0 and sorted by their bytes, each candidate
+    group closed again from the identity and keyed by the frozenset of
+    its element bytes."""
+    deg = ambient.degree
+    ident = Permutation.identity(deg)
+    by_image = {t: [] for t in range(1, deg)}
+    for e in element_closure(ident, ambient.gens, clock=clock):
+        if not (e.arr == ident.arr).any():
+            by_image[e.apply(0)].append(e)
+    for t in by_image:
+        by_image[t].sort(key=lambda g: g.arr.tobytes())
+
+    found = []
+    visited = set()
+
+    def close(gens):
+        elems = {}
+        try:
+            for x in element_closure(ident, gens, limit=n):
+                if elems and (x.arr == ident.arr).any():
+                    return None
+                elems[x.arr.tobytes()] = x
+        except TooLargeError:
+            return None
+        if n % len(elems):
+            return None
+        return elems
+
+    def grow(elems, gens):
+        clock.tick()
+        if len(elems) == n:
+            found.append(PermGroup(deg, gens))
+            return
+        covered = {e.apply(0) for e in elems.values()}
+        t = min(x for x in range(deg) if x not in covered)
+        for g in by_image[t]:
+            new = close(gens + [g])
+            if new is None:
+                continue
+            key = frozenset(new)
+            if key in visited:
+                continue
+            visited.add(key)
+            grow(new, gens + [g])
+
+    grow({ident.arr.tobytes(): ident}, [])
+    return found
+
+
+def _sym_gens(n: int, points) -> list:
+    """A transposition and a long cycle of the given points."""
+    points = list(points)
+    return [Permutation.from_cycles(n, [tuple(points)]),
+            Permutation.from_cycles(n, [tuple(points[:2])])]
+
+
+def _transversal_ambient(name: str) -> tuple[PermGroup, int]:
+    if name == "S6":
+        return PermGroup(6, _sym_gens(6, range(6))), 2
+    if name == "W(3,2)":
+        return aut_incidence(build_w3(GF(2))), 0
+    # S4 x S3 on the 4 x 3 grid, point 3a + b
+    grid = np.arange(12).reshape(4, 3)
+    return PermGroup(12, [
+        Permutation(np.roll(grid, -1, axis=0).ravel()),
+        Permutation(grid[[1, 0, 2, 3]].ravel()),
+        Permutation(np.roll(grid, -1, axis=1).ravel()),
+        Permutation(grid[:, [1, 0, 2]].ravel())]), 5
+
+
+@pytest.mark.parametrize("name", ["S6", "W(3,2)", "S4 x S3"])
+def test_transversal_matches_oracle(name):
+    # the same groups, in order, with the same generators, and the same
+    # clock ticks
+    amb, classes = _transversal_ambient(name)
+    n = amb.degree
+    clock, oracle_clock = gquad.search._Clock(None), gquad.search._Clock(None)
+    keyed = gquad.search._transversal_search(amb, n, clock)
+    want = transversal_oracle(amb, n, oracle_clock)
+    assert all(key == subgroup_key(amb, h) for key, h in keyed)
+    got = [h for _, h in keyed]
+    assert ([[g.arr.tolist() for g in h.gens] for h in got]
+            == [[g.arr.tolist() for g in h.gens] for h in want])
+    assert [h.order() for h in got] == [h.order() for h in want]
+    assert clock.nodes == oracle_clock.nodes
+    gq = SimpleNamespace(n_points=n, name=name)
+    assert enumerate_regular(gq, amb).num_classes == classes
+
+
 def test_transversal_no_regular_group():
     # Aut(W(3,2)) has order 720 and no element of order 15, hence no
     # subgroup acting regularly on the 15 points
@@ -529,6 +623,33 @@ def test_transversal_no_regular_group():
     assert table.strategy == "transversal"
     assert table.complete
     assert table.num_classes == 0
+
+
+def test_transversal_q43_has_no_regular_group():
+    # Q(4,3), the dual of W(3,3): 40 points, Aut of order 51840; the
+    # search runs to the end and finds none
+    gq = dual(build_w3(GF(3)))
+    amb = aut_incidence(gq)
+    assert gq.n_points == 40 and amb.order() == 51840
+    table = enumerate_regular(gq, amb)
+    assert table.strategy == "transversal"
+    assert table.complete
+    assert table.num_classes == 0
+
+
+def test_transversal_budget_hit_counts_groups_found():
+    s6 = PermGroup(6, _sym_gens(6, range(6)))
+    gq = SimpleNamespace(n_points=6, name="six labelled points")
+    clock = gquad.search._Clock(None)
+    found = gquad.search._transversal_search(s6, 6, clock)
+    # the last tick is the last group's, so one group short of the end
+    table = enumerate_regular(gq, s6, SearchBudget(nodes=clock.nodes - 1))
+    assert not table.complete
+    assert table.notes == [
+        "budget exceeded: transversal search interrupted",
+        f"{len(found) - 1} regular subgroups found before interruption; "
+        "conjugacy fusion skipped"]
+    assert table.frontier == []
 
 
 # ---------------------------------------------------------------------------

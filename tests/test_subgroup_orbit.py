@@ -3,8 +3,10 @@
 ``oracle_form`` is the canonical form the orbit walks used before the
 base-image key: the element rows of a subgroup, sorted and deduplicated
 by ``np.unique(axis=0)``.  It is kept here only, as the oracle for
-subgroup equality.  Normalisers and conjugacy are checked by brute force
-over every ambient element.
+subgroup equality.  ``orbit_oracle`` and ``normaliser_oracle`` are the
+former walk over Permutation objects, one product per step, and the
+Schreier generators formed from it.  Normalisers and conjugacy are also
+checked by brute force over every ambient element.
 """
 
 import numpy as np
@@ -29,12 +31,54 @@ from gquad.groups import (
     subgroup_orbit,
 )
 from gquad.incidence import aut_incidence
+from gquad.groups import _base_keyer
 from gquad.search import (
     SearchBudget,
     _BudgetHit,
     _Clock,
     normaliser_gens,
 )
+
+
+def orbit_oracle(ambient: PermGroup, sub: PermGroup):
+    """The former walk: conjugators as Permutations, one product u * g
+    per step, yielding (key, v, first) as ``subgroup_orbit`` does."""
+    stack = np.stack([e.arr for e in sub.elements()])
+    base, key_of = _base_keyer(ambient)
+    ident = Permutation.identity(ambient.degree)
+    inverses = [g.inverse().arr for g in ambient.gens]
+    key0 = key_of(stack[:, base])
+    first = {key0: ident}
+    yield key0, ident, ident
+    todo = [(ident, ident.arr)]
+    while todo:
+        u, uinv = todo.pop()
+        for g, ginv in zip(ambient.gens, inverses):
+            v = u * g
+            vinv = uinv[ginv]
+            key = key_of(v.arr[stack[:, vinv[base]]])
+            known = first.setdefault(key, v)
+            if known is v:
+                todo.append((v, vinv))
+            yield key, v, known
+
+
+def normaliser_oracle(ambient: PermGroup, sub: PermGroup):
+    """The former ``normaliser_gens``: Schreier generators v * first^-1
+    as Permutation products over ``orbit_oracle``."""
+    if not sub.gens:
+        return list(ambient.gens)
+    out = list(sub.gens)
+    seen = {g.arr.tobytes() for g in out}
+    for _, v, first in orbit_oracle(ambient, sub):
+        if first is v:
+            continue
+        s = v * first.inverse()
+        b = s.arr.tobytes()
+        if not s.is_identity() and b not in seen:
+            seen.add(b)
+            out.append(s)
+    return out
 
 
 def oracle_form(group: PermGroup) -> bytes:
@@ -103,7 +147,7 @@ def test_base_image_key_agrees_with_oracle(setting, request):
         for step, (key, v, _) in enumerate(subgroup_orbit(amb, h)):
             if step == 8:
                 break
-            pairs.append((key, oracle_form(_conjugate(h, v))))
+            pairs.append((key, oracle_form(_conjugate(h, Permutation(v)))))
     _assert_bijection(pairs)
     assert len({key for key, _ in pairs}) > len(subs) // 2
 
@@ -126,7 +170,7 @@ def test_key_stays_exact_with_several_codes_per_row(pairs, degree):
         for step, (key, v, _) in enumerate(subgroup_orbit(amb, h)):
             if step == 40:
                 break
-            found.append((key, oracle_form(_conjugate(h, v))))
+            found.append((key, oracle_form(_conjugate(h, Permutation(v)))))
     _assert_bijection(found)
 
 
@@ -142,6 +186,22 @@ def _brute_normaliser_order(amb: PermGroup, h: PermGroup) -> int:
         conj = np.take_along_axis(g, s.arr[ginv], axis=1)  # g^-1 s g
         normalises &= np.array([row.tobytes() in members for row in conj])
     return int(normalises.sum())
+
+
+@pytest.mark.parametrize("setting", ["q2", "q3"])
+def test_array_walk_matches_object_oracle(setting, request):
+    # the same steps with the same keys and conjugators, new conjugates
+    # at the same steps, and the same Schreier generators in order
+    amb, e, t, subs = request.getfixturevalue(setting)
+    for h in subs:
+        got = list(subgroup_orbit(amb, h))
+        want = list(orbit_oracle(amb, h))
+        assert len(got) == len(want)
+        for (key, v, first), (okey, ov, ofirst) in zip(got, want):
+            assert key == okey
+            assert (v == ov.arr).all() and (first == ofirst.arr).all()
+            assert (first is v) == (ofirst is ov)
+        assert normaliser_gens(amb, h) == normaliser_oracle(amb, h)
 
 
 def test_normaliser_order_matches_brute_force_q2(q2):
