@@ -574,7 +574,7 @@ def transversal_oracle(ambient: PermGroup, n: int, clock):
 
 
 def _sym_gens(n: int, points) -> list:
-    """A transposition and a long cycle of the given points."""
+    """A long cycle and a transposition of the given points."""
     points = list(points)
     return [Permutation.from_cycles(n, [tuple(points)]),
             Permutation.from_cycles(n, [tuple(points[:2])])]
