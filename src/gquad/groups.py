@@ -1353,12 +1353,13 @@ def is_conjugate_subgroup(ambient: PermGroup, h1: PermGroup,
         return None
     for step, (key, w, first) in enumerate(subgroup_orbit(ambient, h1)):
         if first is w and key == target:
-            # verify the witness for real, not just by key: each w^-1 s w
-            # applies w^-1, then s, then w
-            rows = FiniteGroup.from_permgroup(h1).rows
-            winv = _invert_rows(w[None, :])[0]
-            if not h2._contains_rows(w[rows[:, winv]]).all():
-                raise AssertionError("conjugate key mismatch")
+            # verify the witness for real, not just by key: w^-1 s w, for
+            # each generator s of h1, applies w^-1, then s, then w
+            if h1.gens:
+                stack = np.stack([s.arr for s in h1.gens])
+                winv = _invert_rows(w[None, :])[0]
+                if not h2._contains_rows(w[stack[:, winv]]).all():
+                    raise AssertionError("conjugate key mismatch")
             return Permutation(w, _checked=True)
         if step >= budget:
             return UNKNOWN
