@@ -30,7 +30,7 @@ from .gf import GF, _factorise
 from .groups import (FiniteGroup, InvalidPermutationError, PermGroup,
                      Permutation, TooLargeError, _extend_homomorphisms)
 from .incidence import Quadrangle, build_from_form, build_w3, gq_isomorphic, \
-    payne_derive
+    line_tuples, payne_derive
 from .linalg import (Mat, QuadraticForm, SemilinearMap, code_lookup,
                      line_rows, mat_identity_mask, mat_mul_batch,
                      normalise_point, rref)
@@ -457,10 +457,7 @@ def build_gu513() -> tuple[PermGroup, Quadrangle]:
         return multiples[i, :1] ^ multiples[j]
 
     rows = line_rows(look, multiples, span_codes, collinear)
-    # tuples straight from the columns: a throwaway list per row leaves
-    # freed lists spread over the object allocator's arenas, and a long
-    # run of builds then holds on to more memory
-    gq = Quadrangle(n, zip(*rows.T.tolist()), s=8, t=64,
+    gq = Quadrangle(n, line_tuples(rows, n), s=8, t=64,
                     labels=pts.tolist(), name="Q-(5,8) norm-trace model")
 
     def perm_from_codes(img):

@@ -178,6 +178,19 @@ class Quadrangle:
 # classical models
 # ---------------------------------------------------------------------------
 
+def line_tuples(rows: np.ndarray, n_points: int):
+    """The lines of an index-row array, one tuple per row, for
+    ``Quadrangle``.
+
+    The tuples come straight from the columns, so no throwaway list is
+    made per row, and they share one int object per point: ``tolist()``
+    would make a new int for every entry past 256, about 9 MB at the
+    33345 lines of Q-(5,8).
+    """
+    points = np.array(range(n_points), dtype=object)
+    return zip(*points[rows.T].tolist())
+
+
 def build_from_form(field: GF, form, s: int, t: int,
                     name: str) -> Quadrangle:
     """Point-line geometry of the singular points and lines of a form.
@@ -189,7 +202,7 @@ def build_from_form(field: GF, form, s: int, t: int,
     a time, so no line is built as a subspace.
     """
     points = [sub.basis[0] for sub in enumerate_singular(form, 1)]
-    lines = zip(*singular_line_rows(form, points).T.tolist())
+    lines = line_tuples(singular_line_rows(form, points), len(points))
     return Quadrangle(len(points), lines, s=s, t=t,
                       labels=points, name=name)
 
