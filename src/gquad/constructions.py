@@ -31,9 +31,9 @@ from .groups import (FiniteGroup, InvalidPermutationError, PermGroup,
                      Permutation, TooLargeError, _extend_homomorphisms)
 from .incidence import Quadrangle, build_from_form, build_w3, gq_isomorphic, \
     line_tuples, payne_derive
-from .linalg import (Mat, QuadraticForm, SemilinearMap, code_lookup,
-                     line_rows, mat_identity_mask, mat_mul_batch,
-                     normalise_point, rref)
+from .linalg import (Mat, QuadraticForm, SemilinearMap, _check_vec,
+                     _code_weights, code_lookup, line_rows,
+                     mat_identity_mask, mat_mul_batch, normalise_point, rref)
 
 __all__ = [
     "BASE_POINT",
@@ -230,30 +230,34 @@ def action_from_linear(field: GF, maps: Sequence, gq: Quadrangle,
     """Point permutations of a labelled quadrangle induced by matrices.
 
     Labels must be normalised coordinate rows; maps can be Mat or
-    SemilinearMap.  A map that fails to permute the points, or permutes
-    them but breaks a line, raises NotAnAutomorphismError.
+    SemilinearMap, each applied to all labels by one ``mat_mul_batch``.
+    A map that fails to permute the points, or permutes them but breaks
+    a line, raises NotAnAutomorphismError.
     """
     if gq.labels is None:
         raise ValueError("quadrangle carries no coordinate labels")
-    lm = gq.line_matrix()
+    labels = np.array(gq.labels, dtype=np.intp)
+    weights = _code_weights(field.q, labels.shape[1])
+    look = code_lookup((field.mul_table[1:, labels] @ weights).T,
+                       field.q * weights[0])
     gens = []
     for m in maps:
-        images = []
-        for lab in gq.labels:
-            w = normalise_point(field, m.apply(lab))
-            try:
-                images.append(gq.point_id(w))
-            except KeyError:
-                raise NotAnAutomorphismError(
-                    f"{lab} maps to {w}, which is not a point") from None
+        mat, e = (m.mat, m.frob) if isinstance(m, SemilinearMap) else (m, 0)
+        _check_vec(field, gq.labels[0], mat.rows)
+        frob = np.array([field.frob(x, e) for x in range(field.q)])
+        images = mat_mul_batch(field, frob[labels], mat.to_array())
+        ids = look[images @ weights]
+        bad = np.flatnonzero(ids < 0)
+        if bad.size:
+            w = normalise_point(field, images[bad[0]].tolist())
+            raise NotAnAutomorphismError(
+                f"{gq.labels[bad[0]]} maps to {w}, which is not a point")
         try:
-            g = Permutation(images)
+            g = Permutation(ids)
         except InvalidPermutationError:
             raise NotAnAutomorphismError(
                 "map is not injective on points") from None
-        mapped = np.sort(g.arr[lm], axis=1)
-        both = np.concatenate([lm, mapped.astype(lm.dtype)])
-        if np.unique(both, axis=0).shape[0] != lm.shape[0]:
+        if (gq.line_index(g.arr[gq.line_matrix()]) < 0).any():
             raise NotAnAutomorphismError("map does not preserve lines")
         gens.append(g)
     return PermGroup(gq.n_points, gens)

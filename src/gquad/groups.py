@@ -746,9 +746,6 @@ class PermGroup:
             return False
         return self.orbit(domain[0]) == domain
 
-    def is_trivial(self) -> bool:
-        return not self.gens
-
     # -- element enumeration ----------------------------------------------
 
     def elements(self) -> list[Permutation]:
@@ -839,11 +836,12 @@ class FiniteGroup:
     element times a generator, so the path from the identity in that
     closure tree is a word for j in the generators, and ``mul``
     multiplies index arrays by walking those words through R.  From them
-    come the inverses and the table of conjugates x^g = g^-1 x g by each
-    generator, which gives the centre, the conjugacy classes and normal
-    closures.  Subgroups are boolean masks over the indices, closed by
-    walking right-multiplication permutations; the methods that return
-    subgroups list their elements in index order.
+    come, when first read, the inverses and the table of conjugates
+    x^g = g^-1 x g by each generator, which gives the centre, the
+    conjugacy classes and normal closures.  Subgroups are boolean masks
+    over the indices, closed by walking right-multiplication
+    permutations; the methods that return subgroups list their elements
+    in index order.
     """
 
     def __init__(self, identity, generators: Iterable):
@@ -852,7 +850,6 @@ class FiniteGroup:
         self.identity = identity
         self.gens = gens
         self.rows, self._right = walk.tables()
-        self._words: np.ndarray | None = None
         self._rmul: dict[int, np.ndarray] = {}
         self._orders: list[int] | None = None
         self._classes: list[list[int]] | None = None
@@ -881,49 +878,54 @@ class FiniteGroup:
 
     # -- the index kernel -------------------------------------------------
 
-    def _tables(self) -> np.ndarray:
-        """R, with the closure-tree words, the inverses and the generator
-        conjugation table, which are built from it once."""
-        right = self._right
-        if self._words is not None:
-            return right
+    @functools.cached_property
+    def _words(self) -> np.ndarray:
+        # words[j, t]: the generator applied at step t on the way from the
+        # identity to j; shorter words are padded in front with column d
+        # of ``_walk``, the identity
         n, d = self.order, len(self.gens)
         # element j was first reached at the first (i, k) in row-major
         # order with R[i, k] = j, as elements[i] * gens[k]
         parent = np.zeros(n, dtype=np.intp)
         gen = np.full(n, d, dtype=np.intp)
         if n > 1:
-            _, first = np.unique(right.ravel(), return_index=True)
+            _, first = np.unique(self._right.ravel(), return_index=True)
             parent[1:], gen[1:] = np.divmod(first[1:], d)
-        # words[j, t]: the generator applied at step t on the way from the
-        # identity to j; shorter words are padded in front with column d
-        # of ``walk``, the identity
         steps = []
         node = np.arange(n)
         while node.any():
             steps.append(gen[node])
             node = parent[node]
-        self._words = np.array(steps[::-1], dtype=np.intp).T.reshape(n, -1)
-        rows = np.arange(n, dtype=np.intp)
-        self._walk = np.hstack([right, rows[:, None]])
-        # back[:, k] undoes walk[:, k]: right multiplication by gens[k]^-1
-        back = np.empty_like(self._walk)
-        back[self._walk, np.arange(d + 1)] = rows[:, None]
+        return np.array(steps[::-1], dtype=np.intp).T.reshape(n, -1)
+
+    @functools.cached_property
+    def _walk(self) -> np.ndarray:
+        return np.hstack([self._right, np.arange(self.order)[:, None]])
+
+    @functools.cached_property
+    def _inv(self) -> np.ndarray:
+        walk = self._walk
+        # back[:, k] undoes walk[:, k]: right multiplication by gens[k]^-1;
+        # the last column of walk is the identity, so it lists the rows
+        back = np.empty_like(walk)
+        back[walk, np.arange(walk.shape[1])] = walk[:, -1:]
         # (g1 ... gm)^-1 = gm^-1 ... g1^-1, applied to the identity
-        inv = np.zeros(n, dtype=np.intp)
+        inv = np.zeros(self.order, dtype=np.intp)
         for t in range(self._words.shape[1] - 1, -1, -1):
             inv = back[inv, self._words[:, t]]
-        self._inv = inv
+        return inv
+
+    @functools.cached_property
+    def _conj(self) -> np.ndarray:
         # conj[x, k] = index of gens[k]^-1 * x * gens[k]
-        self._conj = np.array(
-            [right[self.mul(inv[g], rows), k] for k, g in enumerate(right[0])],
-            dtype=np.intp).T.reshape(n, d)
-        return right
+        right, rows = self._right, np.arange(self.order)
+        return np.array([right[self.mul(self._inv[g], rows), k]
+                         for k, g in enumerate(right[0])],
+                        dtype=np.intp).T.reshape(self.order, len(self.gens))
 
     def mul(self, x, y) -> np.ndarray:
         """Indices of elements[x] * elements[y], elementwise over
         broadcastable index arrays: x is walked through the word of y."""
-        self._tables()
         out = np.asarray(x, dtype=np.intp)
         words = self._words[y]
         for t in range(words.shape[-1]):
@@ -943,7 +945,6 @@ class FiniteGroup:
         return out
 
     def inverse_index(self, i: int) -> int:
-        self._tables()
         return int(self._inv[i])
 
     def _right_perm(self, s: int) -> np.ndarray:
@@ -1006,14 +1007,12 @@ class FiniteGroup:
         return math.lcm(*set(self.element_orders()))
 
     def is_abelian(self) -> bool:
-        right = self._tables()
         # row 0 holds the generators' indices, so products[a, b] is the
         # index of gens[a] * gens[b]
-        products = right[right[0]]
+        products = self._right[self._right[0]]
         return bool((products == products.T).all())
 
     def _centre_mask(self) -> np.ndarray:
-        self._tables()
         return (self._conj == np.arange(self.order)[:, None]).all(axis=1)
 
     def centre(self) -> list:
@@ -1024,7 +1023,6 @@ class FiniteGroup:
         return self._members(self.span(self._indices(seed))[0])
 
     def _normal_mask(self, seeds) -> np.ndarray:
-        self._tables()
         mask, kept = self.span(seeds)
         while True:
             images = self._conj[mask].ravel()
@@ -1039,7 +1037,6 @@ class FiniteGroup:
     def _commutator_mask(self, a: np.ndarray) -> np.ndarray:
         """[A, G] for index array a, as the normal closure of the
         [x, g] = x^-1 x^g with x in A and g a generator."""
-        self._tables()
         comms = self.mul(self._inv[a][:, None], self._conj[a])
         return self._normal_mask(np.unique(comms))
 
@@ -1049,7 +1046,7 @@ class FiniteGroup:
         return self._members(self._commutator_mask(a))
 
     def _derived_mask(self) -> np.ndarray:
-        return self._commutator_mask(self._tables()[0])
+        return self._commutator_mask(self._right[0])
 
     def derived_subgroup(self) -> list:
         return self._members(self._derived_mask())
@@ -1122,7 +1119,8 @@ class FiniteGroup:
         """The maximal subgroups of a p-group, lazily, as (mask,
         generator indices): the preimages of the hyperplanes of the
         Frattini quotient G/Phi, each generated by a greedy generating
-        set of Phi and d-1 more elements, all picked in index order."""
+        set of Phi and d-1 more elements, all picked in index order; the
+        walk drops its cached right products when it ends or is closed."""
         pk = self.is_pgroup()
         if pk is None:
             raise ValueError("not a p-group")
@@ -1135,9 +1133,10 @@ class FiniteGroup:
         if p ** d * int(phi.sum()) != self.order:
             raise RuntimeError("Frattini quotient basis has the wrong size")
         # functionals on GF(p)^d up to scalar, via a leading 1
-        for pivot in range(d):
-            for rest in itertools.product(range(p), repeat=d - pivot - 1):
-                c = (0,) * pivot + (1,) + rest
+        funcs = ((pivot, (0,) * pivot + (1,) + rest) for pivot in range(d)
+                 for rest in itertools.product(range(p), repeat=d - pivot - 1))
+        try:
+            for pivot, c in funcs:
                 gens = phi_gens + [
                     int(self.mul(basis[i], self.power(basis[pivot], p - c[i])))
                     for i in range(d) if i != pivot]
@@ -1146,12 +1145,13 @@ class FiniteGroup:
                     raise RuntimeError(
                         "hyperplane preimage has the wrong order")
                 yield mask, gens
+        finally:
+            self._rmul.clear()
 
     def conjugacy_classes(self) -> list[list[int]]:
         """Classes as lists of element indices, each sorted ascending,
         ordered by their least index."""
         if self._classes is None:
-            self._tables()
             n = self.order
             # label each element with the least index of its class: take
             # the least label among conjugates, then jump label[label]

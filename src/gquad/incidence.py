@@ -2,9 +2,10 @@
 
 Points are integers 0..n-1; a line is a sorted tuple of point ids and
 the line list itself is kept sorted, so equal structures have equal
-representations.  A Quadrangle may carry labels (for the classical
-models these are normalised projective coordinate tuples), which is how
-matrix actions get transported onto point permutations.
+representations, and ``Quadrangle.line_index`` finds the line of any row
+of points by one binary search.  A Quadrangle may carry labels (for the
+classical models these are normalised projective coordinate tuples),
+which is how matrix actions get transported onto point permutations.
 
 The two classical models here are the symplectic quadrangle (all points
 of PG(3,q), totally isotropic lines, order (q,q)) and the elliptic
@@ -98,6 +99,7 @@ class Quadrangle:
         self.labels = labels
         self._label_index = None
         self._line_matrix = None
+        self._line_keys = None
         self._edges = None
         self._neighbors = None
         self._pencils = None
@@ -126,6 +128,21 @@ class Quadrangle:
                 raise ValueError("lines have mixed sizes")
             self._line_matrix = np.array(self.lines, dtype=np.int32)
         return self._line_matrix
+
+    def line_index(self, rows) -> np.ndarray:
+        """Index of the line holding each row of points (shape (..., k),
+        any order within a row), -1 where a row is no line.  The sorted
+        rows' big-endian byte keys are searched among the lines', which
+        ascend with the line list: exact for any lines of one size."""
+        if self._line_keys is None:
+            self._line_keys = _row_keys(self.line_matrix())
+        keys, rows = self._line_keys, np.asarray(rows)
+        if rows.shape[-1] != self.line_matrix().shape[1]:
+            return np.full(rows.shape[:-1], -1)
+        found = _row_keys(np.sort(rows, axis=-1))
+        # the last key <= each row's; -1 below all, where keys[-1] differs
+        pos = np.searchsorted(keys, found, side="right") - 1
+        return np.where(keys[pos] == found, pos, -1)
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """The collinearity graph as flat arrays (src, dst): every ordered
@@ -172,6 +189,11 @@ class Quadrangle:
     def __repr__(self):
         return (f"Quadrangle({self.name}: {self.n_points} points, "
                 f"{self.n_lines} lines)")
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    wide = np.ascontiguousarray(rows, dtype=">u4")
+    return wide.view(np.dtype((np.void, 4 * wide.shape[-1])))[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +351,16 @@ def line_action(gq: Quadrangle, group: PermGroup) -> PermGroup:
     """The permutation group induced on line indices by a point action.
 
     Every generator must send lines to lines; a generator that breaks a
-    line raises ValueError.
+    line raises ValueError naming the first line it breaks.
     """
     if group.degree != gq.n_points:
         raise ValueError("group degree does not match the point count")
-    index = {line: i for i, line in enumerate(gq.lines)}
     gens = []
     for g in group.gens:
-        images = []
-        for line in gq.lines:
-            img = tuple(sorted(int(g.apply(p)) for p in line))
-            j = index.get(img)
-            if j is None:
-                raise ValueError(f"generator maps line {line} off the "
-                                 "line set")
-            images.append(j)
+        images = gq.line_index(g.arr[gq.line_matrix()])
+        if (images < 0).any():
+            line = gq.lines[int(np.argmax(images < 0))]
+            raise ValueError(f"generator maps line {line} off the line set")
         gens.append(Permutation(images))
     return PermGroup(gq.n_lines, gens)
 
@@ -510,10 +527,6 @@ def _search_iso(edges_a, edges_b, col_a, col_b):
     return None
 
 
-def _line_set(gq: Quadrangle) -> set:
-    return set(gq.lines)
-
-
 def gq_isomorphic(g1: Quadrangle, g2: Quadrangle) -> dict[int, int] | None:
     """A point bijection carrying lines to lines, or None.
 
@@ -531,8 +544,7 @@ def gq_isomorphic(g1: Quadrangle, g2: Quadrangle) -> dict[int, int] | None:
     perm = _search_iso(edges_a, edges_b, col, col.copy())
     if perm is None:
         return None
-    mapped = {tuple(sorted(int(perm[p]) for p in line)) for line in g1.lines}
-    if mapped != _line_set(g2):
+    if (g2.line_index(perm[g1.line_matrix()]) < 0).any():
         raise AssertionError("graph map does not respect the line sets")
     return {i: int(perm[i]) for i in range(g1.n_points)}
 
@@ -569,11 +581,10 @@ def aut_incidence(gq: Quadrangle) -> PermGroup:
         cell = int(split[0])
         members = np.nonzero(col == cell)[0]
         v = int(members[0])
-        level_gens: list[Permutation] = []
+        level = len(gens)  # this level's generators are gens[level:]
         orbit = {v}
         fresh = int(col.max()) + 1
-        for w in members[1:]:
-            w = int(w)
+        for w in members[1:].tolist():
             if w in orbit:
                 continue
             ca = col.copy()
@@ -583,28 +594,16 @@ def aut_incidence(gq: Quadrangle) -> PermGroup:
             perm = _search_iso(edges, edges, ca, cb)
             if perm is None:
                 continue
-            g = Permutation(perm)
-            gens.append(g)
-            level_gens.append(g)
-            frontier = list(orbit)
-            while frontier:
-                a = frontier.pop()
-                for h in level_gens:
-                    b = h.apply(a)
-                    if b not in orbit:
-                        orbit.add(b)
-                        frontier.append(b)
+            gens.append(Permutation(perm))
+            orbit = set(PermGroup(n, gens[level:]).orbit(v))
         expected *= len(orbit)
         fixed.append(v)
     group = PermGroup(n, gens)
     if group.order() != expected:
         raise AssertionError("orbit product disagrees with the chain order")
-    lines = _line_set(gq)
-    for g in group.gens:
-        mapped = {tuple(sorted(int(g.arr[p]) for p in line))
-                  for line in gq.lines}
-        if mapped != lines:
-            raise AssertionError("automorphism breaks the line set")
+    if any((gq.line_index(g.arr[gq.line_matrix()]) < 0).any()
+           for g in group.gens):
+        raise AssertionError("automorphism breaks the line set")
     return group
 
 

@@ -319,22 +319,18 @@ def _descend(sylow: PermGroup, target: int, clock: "_Clock",
             nxt: list[tuple[bytes, PermGroup]] = []
             for h in layer:
                 hf = FiniteGroup.from_permgroup(h)
-                try:
-                    for mask, gens in hf._maximal_masks():
-                        clock.tick()
-                        sub = hf.rows[mask]
-                        if np.unique(sub[:, 0]).size < n:
-                            continue
-                        key = key_of(sub[:, base])
-                        if key not in seen:
-                            seen.add(key)
-                            m = PermGroup(n, Permutation._from_rows(
-                                hf.rows[gens]))
-                            kept = leaves if len(sub) == target else nxt
-                            kept.append((key, m))
-                finally:
-                    # h's table may outlive the node, its right products not
-                    hf._rmul.clear()
+                for mask, gens in hf._maximal_masks():
+                    clock.tick()
+                    sub = hf.rows[mask]
+                    if np.unique(sub[:, 0]).size < n:
+                        continue
+                    key = key_of(sub[:, base])
+                    if key not in seen:
+                        seen.add(key)
+                        m = PermGroup(n, Permutation._from_rows(
+                            hf.rows[gens]))
+                        kept = leaves if len(sub) == target else nxt
+                        kept.append((key, m))
             # fuse conjugate internal nodes before descending further;
             # conjugate groups have conjugate subgroup lattices
             layer = (_fuse(ambient, nxt, clock)[0] if len(nxt) > 1
@@ -475,9 +471,9 @@ def enumerate_regular(gq, ambient: PermGroup, budget=None, *,
             else:
                 if sylow.degree != n:
                     raise ValueError("sylow degree mismatch")
-                for g in sylow.gens:
-                    if not ambient.contains(g):
-                        raise ValueError("sylow generator outside ambient")
+                if sylow.gens and not ambient._contains_rows(
+                        np.stack([g.arr for g in sylow.gens])).all():
+                    raise ValueError("sylow generator outside ambient")
                 if sylow.order() != _p_part(amb_order, p):
                     raise ValueError("given subgroup is not Sylow")
             keyed = _descend(sylow, n, clock, ambient)
@@ -499,7 +495,7 @@ def enumerate_regular(gq, ambient: PermGroup, budget=None, *,
         tmpl_keys[name] = subgroup_key(ambient, templates[name])
     classes = []
     for rep, orbit in zip(reps, orbits):
-        if not is_regular(rep, list(range(n)), order=n):
+        if not is_regular(rep, range(n)):
             raise RuntimeError("candidate class representative not regular")
         inv = invariant_report(rep)
         classes.append(RegularClass(

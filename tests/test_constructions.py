@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from gquad.constructions import (
     NotAnAutomorphismError,
     action_from_linear,
     ambient_stabiliser,
+    ambient_stabiliser_gens,
     axis_gens,
     build_derived_model,
     build_extraspecial27,
@@ -25,6 +27,7 @@ from gquad.constructions import (
     shear_matrix,
     shear_power_matrix,
     split_gens,
+    unipotent_gens,
     split_group,
     sylow_exponent,
     unipotent_group,
@@ -38,6 +41,7 @@ from gquad.groups import (
     FiniteGroup,
     PermGroup,
     Permutation,
+    InvalidPermutationError,
     TooLargeError,
     find_isomorphism,
     invariant_report,
@@ -45,8 +49,8 @@ from gquad.groups import (
     is_normal,
     is_regular,
 )
-from gquad.incidence import build_qminus5, line_action, verify_gq
-from gquad.linalg import Mat
+from gquad.incidence import Quadrangle, build_qminus5, line_action, verify_gq
+from gquad.linalg import Mat, SemilinearMap, normalise_point
 
 
 # -- matrix identities -------------------------------------------------------
@@ -396,10 +400,88 @@ def test_action_rejects_line_breaker():
                             (0, 0, 1, 0), (0, 0, 0, 2)])
     with pytest.raises(NotAnAutomorphismError):
         action_from_linear(k, [bad], model.ambient_gq)
-    # on the derived quadrangle the same map fails earlier: it moves
-    # points collinear with the base into the derived point set
+    # on the derived quadrangle the same map keeps the points (it fixes
+    # the base and scales one coordinate) and breaks lines there too
     with pytest.raises(NotAnAutomorphismError):
         action_from_linear(k, elation_gens(k) + [bad], model.gq)
+
+
+def action_oracle(field, maps, gq):
+    """The former per-label ``action_from_linear``: each label through
+    ``apply``, ``normalise_point`` and ``point_id``, and the lines
+    checked by ``np.unique`` over the stacked rows."""
+    lm = gq.line_matrix()
+    gens = []
+    for m in maps:
+        images = []
+        for lab in gq.labels:
+            w = normalise_point(field, m.apply(lab))
+            try:
+                images.append(gq.point_id(w))
+            except KeyError:
+                raise NotAnAutomorphismError(
+                    f"{lab} maps to {w}, which is not a point") from None
+        try:
+            g = Permutation(images)
+        except InvalidPermutationError:
+            raise NotAnAutomorphismError(
+                "map is not injective on points") from None
+        mapped = np.sort(g.arr[lm], axis=1)
+        both = np.concatenate([lm, mapped.astype(lm.dtype)])
+        if np.unique(both, axis=0).shape[0] != lm.shape[0]:
+            raise NotAnAutomorphismError("map does not preserve lines")
+        gens.append(g)
+    return PermGroup(gq.n_points, gens)
+
+
+def _action_outcome(act, field, maps, gq):
+    try:
+        return [(g.arr.dtype, g.arr.tobytes()) for g in
+                act(field, maps, gq).gens]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_action_matches_per_label_oracle():
+    builders = (elation_gens, shear_gens, split_gens, unipotent_gens,
+                centre_gens, ambient_stabiliser_gens)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        k = GF.default(q)
+        model = build_derived_model(k)
+        for gq in (model.gq, model.ambient_gq):
+            for gens in builders:
+                got = _action_outcome(action_from_linear, k, gens(k), gq)
+                assert isinstance(got, list)
+                assert got == _action_outcome(action_oracle, k, gens(k), gq)
+    semi = [SemilinearMap(elation_matrix(GF.default(8), 1, 2, 3), 2)]
+    w8 = build_derived_model(GF.default(8)).ambient_gq
+    assert _action_outcome(action_from_linear, GF.default(8), semi, w8) == \
+        _action_outcome(action_oracle, GF.default(8), semi, w8)
+
+
+def test_action_errors_match_per_label_oracle():
+    k = GF.default(3)
+    model = build_derived_model(k)
+    bad = Mat.from_rows(k, [(1, 0, 0, 0), (0, 1, 0, 0),
+                            (0, 0, 1, 0), (0, 0, 0, 2)])
+    singular = Mat.from_rows(k, [(1, 0, 0, 0), (0, 1, 0, 0),
+                                 (0, 0, 1, 0), (0, 0, 0, 0)])
+    # swaps the base point with (0,0,0,1), so it leaves the derived points
+    swap = Mat.from_rows(k, [(0, 0, 0, 1), (0, 1, 0, 0),
+                             (0, 0, 1, 0), (1, 0, 0, 0)])
+    # two points with one label: the map is not injective on points
+    w3 = model.ambient_gq
+    twin = Quadrangle(w3.n_points, w3.lines, s=3, t=3,
+                      labels=w3.labels[:-1] + w3.labels[-2:-1])
+    cases = [([bad], w3, "map does not preserve lines"),
+             (elation_gens(k) + [swap], model.gq, "which is not a point"),
+             ([singular], w3, "zero vector"),
+             ([Mat.identity(k, 5)], w3, "expected length 5, got 4"),
+             ([Mat.identity(k, 4)], twin, "map is not injective on points")]
+    for maps, gq, text in cases:
+        got = _action_outcome(action_from_linear, k, maps, gq)
+        assert got == _action_outcome(action_oracle, k, maps, gq)
+        assert text in got[1]
 
 
 def test_ambient_stabiliser_orders():

@@ -755,14 +755,14 @@ def test_closure_fills_right_table_as_oracle():
         for build in (elation_group, shear_group, split_group):
             g = build(GF.default(q))
             assert g.elements == closure_oracle(g.identity, g.gens)
-            assert (g._tables() == right_oracle(g)).all()
+            assert (g._right == right_oracle(g)).all()
     # order 15625: each 4x4 code over GF(25) takes two int64 words
     e25 = elation_group(GF.default(25))
     assert e25.order == 25 ** 3
-    assert (e25._tables() == right_oracle(e25)).all()
+    assert (e25._right == right_oracle(e25)).all()
     for h in _model_groups(2) + _model_groups(3):
         g = FiniteGroup.from_permgroup(h)
-        assert (g._tables() == right_oracle(g)).all()
+        assert (g._right == right_oracle(g)).all()
 
 
 def test_closure_and_tables_make_no_products(monkeypatch):
@@ -780,11 +780,13 @@ def test_closure_and_tables_make_no_products(monkeypatch):
 
         monkeypatch.setattr(cls, "__mul__", counted)
     e = FiniteGroup(Mat.identity(k, 4), gens)
-    e._tables()
+    # reading the conjugation table builds every index table
+    assert e._conj.shape == (27, len(gens))
     assert e.order == 27
     for h in perm_groups:
         h.elements()
-        FiniteGroup.from_permgroup(h)._tables()
+        t = FiniteGroup.from_permgroup(h)
+        assert t._conj.shape == (t.order, len(t.gens))
     assert calls == []
     import gquad.groups as groups
     monkeypatch.setattr(groups, "_FINITE_GROUP_LIMIT", 26)
@@ -792,6 +794,33 @@ def test_closure_and_tables_make_no_products(monkeypatch):
         FiniteGroup(Mat.identity(k, 4), gens)
     monkeypatch.setattr(groups, "_FINITE_GROUP_LIMIT", 27)
     assert FiniteGroup(Mat.identity(k, 4), gens).order == 27
+
+
+def test_inverse_and_conjugation_tables_are_built_on_first_read():
+    from gquad.constructions import elation_group
+    g = elation_group(GF.default(3))
+    n = g.order
+    prods = g.mul(np.arange(n)[:, None], np.arange(n)[None, :])
+    g.power(np.arange(n), 3)
+    # multiplying and powering need only the closure-tree words
+    assert "_words" in vars(g)
+    assert "_inv" not in vars(g) and "_conj" not in vars(g)
+    inv = [g.inverse_index(i) for i in range(n)]
+    assert "_conj" not in vars(g)
+    assert all(prods[i, inv[i]] == 0 for i in range(n))
+    assert len(g.centre()) == 3
+    assert "_conj" in vars(g)
+
+
+def test_maximal_masks_drop_their_right_products():
+    g = heisenberg3()
+    assert len(list(g._maximal_masks())) == 4
+    assert g._rmul == {}
+    walk = g._maximal_masks()
+    next(walk)
+    assert g._rmul
+    walk.close()
+    assert g._rmul == {}
 
 
 def test_lazy_closure_prefix_and_clock():

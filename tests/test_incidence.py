@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gquad.gf import GF
+from gquad.groups import PermGroup, Permutation
 from gquad.incidence import (
     NotRegularPointError,
     Quadrangle,
@@ -16,6 +17,7 @@ from gquad.incidence import (
     double_perp,
     dual,
     gq_isomorphic,
+    line_action,
     load_gq,
     payne_derive,
     perp_set,
@@ -293,6 +295,80 @@ def test_aut_searches_each_orbit_point_once():
         g = aut_incidence(gq)
         assert g.order() == order
         assert len(g.gens) == ngens
+
+
+# -- the line lookup ---------------------------------------------------------
+
+def line_index_oracle(gq: Quadrangle, rows) -> list[int]:
+    """Each row's line through a dict of sorted tuples, -1 off the lines."""
+    index = {line: i for i, line in enumerate(gq.lines)}
+    return [index.get(tuple(sorted(r)), -1)
+            for r in np.asarray(rows).tolist()]
+
+
+def line_action_oracle(gq: Quadrangle, group: PermGroup) -> list:
+    """The former per-line loop of ``line_action``: image arrays."""
+    index = {line: i for i, line in enumerate(gq.lines)}
+    return [np.array([index[tuple(sorted(int(g.apply(p)) for p in line))]
+                      for line in gq.lines]) for g in group.gens]
+
+
+def _pair_twice():
+    # (0, 1, 2) and (0, 1, 3) share the pair {0, 1}: no GQ
+    return Quadrangle(6, [(0, 1, 2), (0, 1, 3), (1, 3, 4), (2, 4, 5),
+                          (0, 4, 5)])
+
+
+def test_line_index_matches_set_oracle():
+    from gquad.constructions import build_derived_model
+    rng = np.random.default_rng(11)
+    cases = [grid33(), build_w3(GF.default(2)),
+             build_derived_model(GF.default(3)).gq,
+             build_qminus5(GF.default(2))]
+    for gq in cases + [_pair_twice()]:
+        lm = gq.line_matrix()
+        # the graph search is for GQs only; the identity serves the rest
+        auts = ([g.arr for g in aut_incidence(gq).gens] if gq in cases
+                else [np.arange(gq.n_points)])
+        others = [rng.permutation(gq.n_points) for _ in range(6)]
+        for arr in auts + others:
+            # the points of each row in any order
+            rows = rng.permuted(arr[lm], axis=1)
+            got = gq.line_index(rows)
+            assert got.tolist() == line_index_oracle(gq, rows)
+        for arr in auts:
+            assert sorted(gq.line_index(arr[lm]).tolist()) == \
+                list(range(gq.n_lines))
+        # most random permutations break a line
+        assert any((gq.line_index(arr[lm]) < 0).any() for arr in others)
+        # any leading shape; a row of another size is no line
+        stack = np.stack([lm[::-1], lm[:, ::-1]])
+        assert gq.line_index(stack).tolist() == [
+            list(range(gq.n_lines))[::-1], list(range(gq.n_lines))]
+        assert gq.line_index(lm[:, 1:]).tolist() == [-1] * gq.n_lines
+
+
+def test_line_index_needs_no_gq_axioms():
+    gq = _pair_twice()
+    # (0, 0, 1) sorts below every line, (3, 3, 3) above
+    rows = np.array([(1, 0, 3), (2, 1, 0), (4, 3, 1), (0, 1, 4),
+                     (5, 4, 0), (3, 3, 3), (5, 4, 2), (1, 0, 0)])
+    assert gq.line_index(rows).tolist() == [1, 0, 3, -1, 2, -1, 4, -1]
+    assert gq.line_index(rows).tolist() == line_index_oracle(gq, rows)
+
+
+def test_line_action_matches_loop_and_rejects_line_breaker():
+    for gq in (grid33(), build_w3(GF.default(2))):
+        group = aut_incidence(gq)
+        lines = line_action(gq, group)
+        assert [g.arr.tolist() for g in lines.gens] == \
+            [a.tolist() for a in line_action_oracle(gq, group)]
+        assert lines.order() == group.order()
+    # swapping points 0 and 1 keeps (0, 1, 2) and breaks (0, 3, 6)
+    swap = PermGroup(9, [Permutation.from_cycles(9, [(0, 1)])])
+    with pytest.raises(ValueError,
+                       match=r"line \(0, 3, 6\) off the line set"):
+        line_action(grid33(), swap)
 
 
 def test_not_isomorphic_same_parameters():

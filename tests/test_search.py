@@ -463,6 +463,17 @@ def test_descend_chains_no_discarded_subgroup(q3, monkeypatch):
     assert all(any(c is m for _, m in leaves) for c in chained)
 
 
+def test_given_sylow_is_checked(q2):
+    model, e, p, t, amb = q2
+    outside = PermGroup(8, [Permutation.from_cycles(8, [(0, 1)])])
+    assert not amb.contains(outside.gens[0])
+    with pytest.raises(ValueError, match="sylow generator outside ambient"):
+        enumerate_regular(model.gq, amb, sylow=outside)
+    # E lies in the stabiliser, of order 48, but is not a Sylow 2-subgroup
+    with pytest.raises(ValueError, match="given subgroup is not Sylow"):
+        enumerate_regular(model.gq, amb, sylow=e)
+
+
 def test_enumerate_generic_sylow_agrees_q2(q2):
     model, e, p, t, amb = q2
     table = enumerate_regular(model.gq, amb)
