@@ -8,6 +8,7 @@ configuration are byte-identical.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -428,7 +429,10 @@ def _cmd_report(args, cfg: RunConfig) -> int:
 # parser plumbing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and argparse looks up sys.stderr only when it writes."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=float,
                         help="search budget in seconds")

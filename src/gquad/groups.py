@@ -1,7 +1,9 @@
 """Permutation groups and small abstract groups.
 
 Permutations map 0-based points through an image array; the product
-g * h applies g first, then h, so x^(g*h) = h(g(x)).  PermGroup builds a
+g * h applies g first, then h, so x^(g*h) = h(g(x)).  A regular
+PermGroup's order is certified from its centraliser, with no chain.  For
+membership, and for the order of any other group, PermGroup builds a
 deterministic stabiliser chain lazily, by incremental Schreier-Sims: a
 new level's base point is the least point moved by the residue that
 opens it, after any base_prefix.  Each level's orbit and transversal
@@ -697,11 +699,16 @@ class PermGroup:
             raise AssertionError("chain rejects a generator product")
 
     def order(self) -> int:
+        """The group order.  A group that ``_regular_by_centraliser``
+        certifies regular has order ``degree`` and builds no chain; any
+        other group's order is the product of its chain's orbit sizes."""
         if self._order is None:
-            n = 1
-            for lv in self._chain():
-                n *= lv.orbit_size()
-            self._order = n
+            if _regular_by_centraliser(self.degree,
+                                       [g.arr for g in self.gens]):
+                self._order = self.degree
+            else:
+                self._order = math.prod(lv.orbit_size()
+                                        for lv in self._chain())
         return self._order
 
     def contains(self, g: Permutation) -> bool:
@@ -789,8 +796,10 @@ def is_regular(group: PermGroup, on: Iterable[int],
                order: int | None = None) -> bool:
     """Transitive with trivial stabilisers on the given set.
 
-    order may be supplied when the group order is known externally, to
-    avoid building a stabiliser chain at very large degree.
+    On the whole point set ``group.order()`` needs no stabiliser chain
+    when the group is regular.  order may be supplied when the group
+    order is known externally, which saves the chain when ``on`` is a
+    proper invariant subset.
     """
     pts = np.asarray(sorted(set(on)), dtype=np.int64)
     if pts.size == 0:
@@ -813,6 +822,56 @@ def _close(mask: np.ndarray, frontier: np.ndarray, perms: list) -> None:
         images = np.concatenate([perm[frontier] for perm in perms])
         frontier = np.unique(images[~mask[images]])
         mask[frontier] = True
+
+
+def _regular_by_centraliser(degree: int, perms: list) -> bool:
+    """True iff the group generated by the non-identity index
+    permutations ``perms`` is regular on range(degree).
+
+    A transitive group is regular exactly when its centraliser in the
+    symmetric group is transitive, and that centraliser is semiregular
+    (Dixon & Mortimer, *Permutation Groups*, 1996, 4.2).  A centralising
+    c is fixed by c(0): along a Schreier tree from 0, c(g(x)) = g(c(x)).
+    So for y the least point outside the orbit of 0 under the centralising
+    elements found so far, the one candidate with c(0) = y either commutes
+    with every generator, and at least doubles that orbit, or proves the
+    group is not regular: at most log2(degree) + 1 trials, and no chain.
+    """
+    if not degree:
+        return False
+    stack = np.stack(perms) if perms else np.empty((0, degree), np.intp)
+    # a non-identity element of a regular group fixes no point
+    if (stack == np.arange(degree)).any():
+        return False
+    # breadth-first Schreier tree from 0, one layer of arrays at a time:
+    # each new point, its parent and the generator that reaches it
+    seen = np.zeros(degree, dtype=bool)
+    seen[0] = True
+    layers = []
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        fresh, first = np.unique(stack[:, frontier], return_index=True)
+        keep = ~seen[fresh]
+        fresh, first = fresh[keep], first[keep]
+        seen[fresh] = True
+        via, at = np.divmod(first, frontier.size)
+        layers.append((fresh, frontier[at], via))
+        frontier = fresh
+    if not seen.all():
+        return False
+    orbit = np.zeros(degree, dtype=bool)
+    orbit[0] = True
+    found = []
+    while not orbit.all():
+        c = np.empty(degree, dtype=stack.dtype)
+        c[0] = np.argmin(orbit)
+        for pts, parent, via in layers:
+            c[pts] = stack[via, c[parent]]
+        if any((c[g] != g[c]).any() for g in stack):
+            return False
+        found.append(c)
+        _close(orbit, np.flatnonzero(orbit), found)
+    return True
 
 
 # a FiniteGroup closes at most this many elements

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -395,6 +398,29 @@ def test_internal_error_exits_3_with_traceback(workdir, capsys, monkeypatch,
 def test_usage_errors(capsys):
     assert run_cli(["no-such-command"]) == 2
     assert run_cli(["build-gq"]) == 2
+    capsys.readouterr()
+
+
+def test_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    parsers = []
+    real = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    out = str(tmp_path / "w32.gq")
+    assert run_cli(["build-gq", "--type", "w3", "--q", "2",
+                    "--out", out]) == 0
+    # a usage error after a successful call still exits 2, and argparse
+    # writes its usage to whatever stderr is at the time of the call
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run_cli(["build-gq", "--q", "2"]) == 2
+    assert err.getvalue().startswith("usage: gquad build-gq")
+    assert "--type" in err.getvalue()
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
     capsys.readouterr()
 
 

@@ -482,7 +482,7 @@ def test_gu513_chain_makes_few_permutations(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(Permutation, "__init__", counting)
-    assert group.order() == 4617
+    assert math.prod(lv.orbit_size() for lv in group._chain()) == 4617
     # the chain works on blocks of image arrays; only the strong
     # generators become Permutation objects
     assert calls <= 64
@@ -502,8 +502,9 @@ def status(field):
 
 group, _ = build_gu513()
 before = status("VmRSS")
-group.order()
-print(status("VmHWM"), before, sum(lv.trans.nbytes for lv in group._chain()))
+# order() needs no chain for a regular group; build it to measure it
+levels = group._chain()
+print(status("VmHWM"), before, sum(lv.trans.nbytes for lv in levels))
 """
 
 
@@ -520,7 +521,7 @@ def test_gu513_chain_peak_rss():
     peak, before, trans = map(int, done.stdout.split())
     mib = 1 << 20
     # the former re-close loop peaked at 103.5 MiB in this script (Linux
-    # x86-64, numpy 2.4), 0.6 MiB above its RSS before order() and the
+    # x86-64, numpy 2.4), 0.6 MiB above its RSS before the chain and the
     # transversal it keeps; a full inverse transversal would add 40 MiB
     assert peak <= 103.5 * mib
     assert peak - before <= trans + mib
@@ -557,6 +558,139 @@ def test_regular_invariance_check():
         is_regular(g, [0, 2])
     with pytest.raises(ValueError):
         is_regular(g, [])
+
+
+def chain_order(group):
+    """The oracle for the centraliser certificate: the product of the
+    orbit sizes of a freshly built stabiliser chain."""
+    fresh = PermGroup(group.degree, group.gens)
+    return math.prod(lv.orbit_size() for lv in fresh._chain())
+
+
+def certify(group, monkeypatch=None):
+    """The certificate's verdict on a fresh copy of group, and how many
+    centralising elements it found on the way (when monkeypatch is
+    given: each one found grows the orbit through one _close call)."""
+    import gquad.groups as groups
+    found = 0
+    if monkeypatch is not None:
+        real = groups._close
+
+        def counting(*args):
+            nonlocal found
+            found += 1
+            real(*args)
+
+        monkeypatch.setattr(groups, "_close", counting)
+    verdict = groups._regular_by_centraliser(
+        group.degree, [g.arr for g in group.gens])
+    if monkeypatch is not None:
+        monkeypatch.undo()
+    return verdict, found
+
+
+def assert_certificate_matches_chain(group):
+    want = chain_order(group)
+    regular = want == group.degree and group.is_transitive()
+    assert certify(group)[0] == regular
+    assert PermGroup(group.degree, group.gens).order() == want
+
+
+def _c3_by_s3():
+    """C3 x S3 in its product action on Z3 x {0, 1, 2}, point (a, b) as
+    a + 3b, from two fixed-point-free generators: (a, b) -> (a + 1, b^t)
+    with t = (0 1), and (a, b) -> (a, b + 1).  Its centraliser is the C3
+    shifting a, so the trial for y = 1 succeeds and the one for y = 3
+    fails."""
+    a, b = np.divmod(np.arange(9), 3)[::-1]
+    swap = np.array([1, 0, 2])
+    return PermGroup(9, [Permutation((a + 1) % 3 + 3 * swap[b]),
+                         Permutation(a + 3 * ((b + 1) % 3))])
+
+
+def test_certificate_steps(monkeypatch):
+    c6 = PermGroup(6, [cyc(6, range(6))])
+    v4 = PermGroup(4, [cyc(4, (0, 1), (2, 3)), cyc(4, (0, 2), (1, 3))])
+    d4 = PermGroup(4, [cyc(4, range(4)), cyc(4, (0, 1), (2, 3))])
+    c3 = PermGroup(9, [cyc(9, (0, 3, 6), (1, 4, 7), (2, 5, 8))])
+    c3s3 = _c3_by_s3()
+    mp = monkeypatch
+    # C6 needs one centralising element (c(0) = 1), V4 two
+    assert certify(c6, mp) == (True, 1)
+    assert certify(v4, mp) == (True, 2)
+    # S4: a generator fixes a point, so no trial is made
+    assert certify(sym(4), mp) == (False, 0)
+    # D4 on the square: transitive and fixed-point free, and the first
+    # trial fails
+    assert d4.is_transitive() and d4.order() == 8
+    assert not any((g.arr == np.arange(4)).any() for g in d4.gens)
+    assert certify(d4, mp) == (False, 0)
+    # C3 on 9 points: semiregular, but the tree does not reach every point
+    assert certify(c3, mp) == (False, 0)
+    assert c3s3.is_transitive() and c3s3.order() == 18
+    assert not any((g.arr == np.arange(9)).any() for g in c3s3.gens)
+    assert certify(c3s3, mp) == (False, 1)
+    # the same group with a generator fixing (a, 2): no trial is made,
+    # where one would succeed
+    fixing = PermGroup(9, [c3s3.gens[0] ** 4, c3s3.gens[0] ** 3,
+                           c3s3.gens[1]])
+    assert fixing.order() == 18
+    assert certify(fixing, mp) == (False, 0)
+    # order 6 on 6 points, but not transitive
+    c2c3 = PermGroup(6, [cyc(6, (0, 3), (2, 5, 4))])
+    assert certify(c2c3, mp) == (False, 0)
+    # no generators: regular on one point only
+    assert certify(PermGroup(1), mp) == (True, 0)
+    assert certify(PermGroup(5), mp) == (False, 0)
+    for g in (c6, v4, sym(4), d4, c3, c3s3, fixing, c2c3, PermGroup(1),
+              PermGroup(5)):
+        assert_certificate_matches_chain(g)
+
+
+def _census_groups(q):
+    """E, P, S and T on the derived quadrangle at q, its ambient for the
+    census, and every class representative of the census."""
+    from gquad.constructions import (action_from_linear, ambient_stabiliser,
+                                     elation_gens, shear_gens, split_gens,
+                                     unipotent_gens)
+    from gquad.incidence import aut_incidence
+    from gquad.search import enumerate_regular
+    model = build_derived_model(GF.default(q))
+    k, gq = model.field, model.gq
+    acts = [action_from_linear(k, gens(k), gq)
+            for gens in (elation_gens, shear_gens, split_gens,
+                         unipotent_gens)]
+    ambient = (aut_incidence(gq) if q == 3
+               else ambient_stabiliser(k, gq))
+    table = enumerate_regular(gq, ambient, sylow=acts[3])
+    assert table.complete
+    return acts + [ambient] + [c.rep for c in table.classes]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_certificate_matches_chain_on_census(q):
+    groups = _census_groups(q)
+    assert sum(chain_order(g) == g.degree and g.is_transitive()
+               for g in groups) >= 4
+    for g in groups:
+        assert_certificate_matches_chain(g)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_certificate_matches_chain_on_subgroups_of_aut(q):
+    aut = _aut_of_derived(q)
+    rng = np.random.default_rng(q)
+    for _ in range(12):
+        assert_certificate_matches_chain(PermGroup(
+            aut.degree, [random_word(aut, rng, 3) for _ in range(2)]))
+
+
+def test_gu513_order_builds_no_chain():
+    group = _gu513_regular()
+    assert group.order() == 4617
+    assert group._levels is None
+    assert is_regular(group, range(4617))
+    assert group._levels is None
 
 
 # -- abstract groups and invariants -----------------------------------------
