@@ -65,15 +65,11 @@ class RunConfig:
     budget_seconds: float = 3600.0
     bound: int = 4096
     out_dir: str = "."
-    formats: tuple = ("json",)
     moduli: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.budget_seconds <= 0:
             raise ValueError("budget must be positive")
-        bad = [f for f in self.formats if f not in ("json", "md", "csv")]
-        if bad:
-            raise ValueError(f"unknown output format {bad[0]!r}")
 
 
 def _parse_modulus(text: str) -> tuple:
@@ -96,7 +92,6 @@ _CONFIG_KEYS = {
     "budget": ("budget_seconds", float),
     "bound": ("bound", int),
     "out_dir": ("out_dir", str),
-    "formats": ("formats", lambda text: tuple(text.split(","))),
     "modulus": ("moduli", _parse_moduli),
 }
 
@@ -146,8 +141,6 @@ def resolve_config(args: argparse.Namespace, env=None) -> RunConfig:
         updates["bound"] = args.bound
     if getattr(args, "out_dir", None) is not None:
         updates["out_dir"] = args.out_dir
-    if getattr(args, "formats", None) is not None:
-        updates["formats"] = tuple(args.formats.split(","))
     if getattr(args, "modulus", None):
         updates["moduli"] = dict(_parse_modulus(m) for m in args.modulus)
     return replace(cfg, **updates)
@@ -416,10 +409,7 @@ def _load_table(path: str) -> dict:
 
 def _cmd_report(args, cfg: RunConfig) -> int:
     payloads = [_load_table(path) for path in args.tables]
-    fmt = args.format or ("md" if "md" in cfg.formats else cfg.formats[0])
-    if fmt == "json":
-        fmt = "md"
-    text = emit_class_count_table(payloads, fmt,
+    text = emit_class_count_table(payloads, args.format,
                                   allow_partial=args.allow_partial)
     _emit(text, args.out)
     return 0
@@ -440,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="largest group order for the explicit "
                              "isomorphism search")
     common.add_argument("--out-dir", dest="out_dir")
-    common.add_argument("--formats", help="comma list of json,md,csv")
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--modulus", action="append",
                         help="field modulus override, p^f=integer")
@@ -499,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("report", parents=[common])
     sp.add_argument("--tables", nargs="*", default=[])
-    sp.add_argument("--format", choices=["md", "csv"])
+    sp.add_argument("--format", choices=["md", "csv"], default="md")
     sp.add_argument("--allow-partial", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_report)

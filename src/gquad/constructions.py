@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf import GF, _factorise
+from .gf import GF
 from .groups import (FiniteGroup, InvalidPermutationError, PermGroup,
                      Permutation, TooLargeError, _extend_homomorphisms)
 from .incidence import Quadrangle, build_from_form, build_w3, gq_isomorphic, \
@@ -263,15 +263,6 @@ def action_from_linear(field: GF, maps: Sequence, gq: Quadrangle,
     return PermGroup(gq.n_points, gens)
 
 
-def _primitive(field: GF) -> int:
-    q = field.q
-    for c in field.nonzero():
-        if all(field.pow(c, (q - 1) // r) != 1
-               for r in _factorise(q - 1)):
-            return c
-    raise AssertionError("no primitive element")  # unreachable
-
-
 def ambient_stabiliser_gens(field: GF) -> list:
     """Generators of the base-point stabiliser in PGammaSp(4,q).
 
@@ -287,7 +278,7 @@ def ambient_stabiliser_gens(field: GF) -> list:
                                       (0, 0, 1, 0), (0, 0, 0, 1)]))
         gens.append(Mat.from_rows(k, [(1, 0, 0, 0), (0, 1, 0, 0),
                                       (0, al, 1, 0), (0, 0, 0, 1)]))
-    lam = _primitive(k)
+    lam = k.primitive()
     if lam != 1:
         gens.append(Mat.from_rows(k, [(lam, 0, 0, 0), (0, 1, 0, 0),
                                       (0, 0, 1, 0), (0, 0, 0, k.inv(lam))]))

@@ -321,6 +321,11 @@ class GF:
             raise ValueError("GF(p) has no polynomial generator")
         return self.p
 
+    def primitive(self) -> int:
+        """The least primitive element code: the base of the exp table."""
+        exp, _ = self._ensure_exp_log()
+        return exp[1 % (self.q - 1)]
+
     # -- arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:

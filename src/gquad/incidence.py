@@ -273,10 +273,10 @@ def verify_gq(gq: Quadrangle, s: int | None = None,
     degree, pair uniqueness, one-point-per-external-line axiom), with
     the lexicographically least witness ids.
     """
-    if s is None:
-        s = gq.s if gq.s is not None else len(gq.lines[0]) - 1
-    if t is None:
-        t = gq.t if gq.t is not None else len(gq.pencils()[0]) - 1
+    if s is None or t is None:
+        gs, gt = gq.order()
+        s = gs if s is None else s
+        t = gt if t is None else t
     n = gq.n_points
 
     bad = _first_bad_line(gq, s)
@@ -611,7 +611,7 @@ def aut_incidence(gq: Quadrangle) -> PermGroup:
 # file format
 # ---------------------------------------------------------------------------
 
-def save_gq(path, gq: Quadrangle, extra: dict | None = None):
+def save_gq(path, gq: Quadrangle):
     """Write the GQ file plus a .json provenance sidecar."""
     s, t = gq.order()
     rows = [f"GQ {gq.n_points} {gq.n_lines} {s} {t}"]
@@ -625,8 +625,6 @@ def save_gq(path, gq: Quadrangle, extra: dict | None = None):
         "s": s,
         "t": t,
     }
-    if extra:
-        meta.update(extra)
     with open(f"{path}.json", "w") as fh:
         fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 

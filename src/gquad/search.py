@@ -79,9 +79,10 @@ class SearchBudget:
     """Limits on a search run; ``None`` means unlimited.
 
     ``seconds`` is wall-clock time, ``nodes`` counts units of work
-    (subgroups built, conjugacy-orbit steps).  Exhaustion never truncates a
-    table silently: the result is marked incomplete and carries the
-    unexplored frontier.
+    (Sylow-climb orbit steps and closure elements, subgroups built,
+    conjugacy-orbit steps), all on one clock per enumeration.  Exhaustion
+    never truncates a table silently: the result is marked incomplete and
+    carries the unexplored frontier.
     """
 
     seconds: float | None = None
@@ -107,12 +108,6 @@ class _Clock:
             raise _BudgetHit(f"node budget {b.nodes} exhausted")
         if b.seconds is not None and time.monotonic() - self.t0 > b.seconds:
             raise _BudgetHit(f"time budget {b.seconds}s exhausted")
-
-
-def _as_budget(budget) -> SearchBudget | None:
-    if budget is None or isinstance(budget, SearchBudget):
-        return budget
-    return SearchBudget(seconds=float(budget))
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +147,18 @@ def _p_part(n: int, p: int) -> int:
     return m
 
 
-def sylow_subgroup(ambient: PermGroup, p: int, *, budget=None) -> PermGroup:
+def sylow_subgroup(ambient: PermGroup, p: int, *,
+                   clock: "_Clock | None" = None) -> PermGroup:
     """A Sylow p-subgroup of ``ambient``.
 
     Grows a p-subgroup one generator at a time: while H is not yet Sylow,
     p divides |N(H)/H|, so the normaliser contains a p-element outside H,
     and adjoining it keeps the group a p-group because it normalises H.
+    Each normaliser orbit step and each closure element ticks ``clock``,
+    the caller's budget clock (none: unlimited).
     """
     full = _p_part(ambient.order(), p)
-    clock = _Clock(_as_budget(budget))
+    clock = clock or _Clock(None)
     h = PermGroup(ambient.degree, [])
     while h.order() < full:
         ngens = normaliser_gens(ambient, h, clock=clock)
@@ -442,10 +440,14 @@ def enumerate_regular(gq, ambient: PermGroup, budget=None, *,
     count are used here; the caller fixes the action).  ``sylow`` may carry
     a precomputed Sylow p-subgroup to skip the normaliser climb.
     ``templates`` maps names to known regular subgroups; each class is
-    tagged with the names it is conjugate to.
+    tagged with the names it is conjugate to.  A given Sylow group or a
+    template that does not fit the ambient raises ``ValueError`` before
+    any search work.
 
-    Budget exhaustion marks the table incomplete and records the
-    unexplored frontier; it never truncates silently.
+    One budget clock covers the whole run: the Sylow climb, the descent
+    and the conjugacy fusion.  Budget exhaustion marks the table
+    incomplete and records the unexplored frontier; it never truncates
+    silently.
     """
     n = gq.n_points
     if ambient.degree != n:
@@ -454,7 +456,13 @@ def enumerate_regular(gq, ambient: PermGroup, budget=None, *,
     if amb_order % n:
         raise NotCompatibleError(
             f"point count {n} does not divide the ambient order {amb_order}")
-    clock = _Clock(_as_budget(budget))
+    # a template matches the classes whose conjugation orbit holds its key
+    tmpl_keys = {}
+    for name in sorted(templates or {}):
+        if templates[name].degree != n:
+            raise ValueError(f"template {name!r} degree mismatch")
+        tmpl_keys[name] = subgroup_key(ambient, templates[name])
+    clock = _Clock(budget)
     pk = _prime_power(n)
     strategy = "transversal" if pk is None else "sylow-descent"
     complete = True
@@ -467,7 +475,7 @@ def enumerate_regular(gq, ambient: PermGroup, budget=None, *,
         else:
             p, _ = pk
             if sylow is None:
-                sylow = sylow_subgroup(ambient, p, budget=clock.budget)
+                sylow = sylow_subgroup(ambient, p, clock=clock)
             else:
                 if sylow.degree != n:
                     raise ValueError("sylow degree mismatch")
@@ -487,12 +495,6 @@ def enumerate_regular(gq, ambient: PermGroup, budget=None, *,
         frontier = hit.frontier
         reps, orbits = [], []
 
-    # a template matches the classes whose conjugation orbit holds its key
-    tmpl_keys = {}
-    for name in sorted(templates or {}):
-        if templates[name].degree != n:
-            raise ValueError(f"template {name!r} degree mismatch")
-        tmpl_keys[name] = subgroup_key(ambient, templates[name])
     classes = []
     for rep, orbit in zip(reps, orbits):
         if not is_regular(rep, range(n)):

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -333,7 +334,7 @@ def test_config_precedence(tmp_path, monkeypatch):
 
     import argparse
     args = argparse.Namespace(config=str(cfgfile), budget=None, bound=None,
-                              out_dir=None, formats=None, modulus=None)
+                              out_dir=None, modulus=None)
     cfg = resolve_config(args, env={})
     assert cfg.budget_seconds == 10.0 and cfg.bound == 512
 
@@ -354,7 +355,7 @@ def test_config_precedence(tmp_path, monkeypatch):
     ("budget=ten\n", 1),                          # not a number
     ("budget=0\n", 1),                            # out of range
     ("bound=1.5\n", 1),                           # not an integer
-    ("formats=json,yaml\n", 1),                   # unknown format
+    ("formats=md\n", 1),                          # removed knob
     ("modulus=2^2=7,nonsense\n", 1),              # bad modulus
 ])
 def test_config_file_errors_name_the_line(tmp_path, capsys, text, line):
@@ -369,8 +370,37 @@ def test_config_file_errors_name_the_line(tmp_path, capsys, text, line):
 def test_config_invariants():
     with pytest.raises(ValueError):
         RunConfig(budget_seconds=0)
-    with pytest.raises(ValueError):
-        RunConfig(formats=("yaml",))
+
+
+# every setting, as its command-line and config-file text
+SETTINGS = {"budget": "5", "bound": "7", "out_dir": "elsewhere",
+            "modulus": "2^2=7"}
+
+
+def test_settings_are_wired_alike(tmp_path):
+    # the config-file keys, the flags common to every subcommand and the
+    # RunConfig fields name the same settings, and each one reaches its
+    # field both ways
+    parser = gquad.cli._build_parser()
+    commands = parser._subparsers._group_actions[0].choices.values()
+    common = set.intersection(*({a.dest for a in sp._actions}
+                                for sp in commands))
+    assert common - {"help", "config"} == set(SETTINGS)
+    assert set(gquad.cli._CONFIG_KEYS) == set(SETTINGS)
+    assert ({name for name, _ in gquad.cli._CONFIG_KEYS.values()}
+            == {f.name for f in dataclasses.fields(RunConfig)})
+
+    argv = ["report"]
+    for key, text in SETTINGS.items():
+        argv += ["--" + key.replace("_", "-"), text]
+    from_flags = resolve_config(parser.parse_args(argv), env={})
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("".join(f"{k}={v}\n" for k, v in SETTINGS.items()))
+    from_file = resolve_config(
+        parser.parse_args(["report", "--config", str(cfgfile)]), env={})
+    assert from_flags == from_file
+    for f in dataclasses.fields(RunConfig):
+        assert getattr(from_file, f.name) != getattr(RunConfig(), f.name)
 
 
 def test_bad_env_is_domain_error(monkeypatch, capsys, tmp_path):

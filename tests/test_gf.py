@@ -321,6 +321,27 @@ def test_char2_exp_log_tables_match_scalar_loop(f, modulus):
     assert (exp, log) == exp_log_char2_oracle(k)
 
 
+def _oracle_order(field, a):
+    n, v = 1, a
+    while v != 1:
+        v = oracle_mul(field, v, a)
+        n += 1
+    return n
+
+
+# the default moduli and three others; x is not primitive modulo the
+# default x^2 + 1 over GF(3), nor modulo x^4+x^3+x^2+x+1 over GF(2)
+@pytest.mark.parametrize("field", [GF.default(q) for q in SMALL_Q] + [
+    GF(p=3, f=2, modulus=(2, 1, 1)), GF(p=2, f=4, modulus=(1, 1, 1, 1, 1)),
+    GF(p=5, f=2, modulus=(2, 1, 1))],
+    ids=lambda k: f"{k.q}-{''.join(map(str, k.modulus))}")
+def test_primitive_is_least_generator(field):
+    g = field.primitive()
+    orders = [_oracle_order(field, a) for a in range(1, g + 1)]
+    assert orders[-1] == field.q - 1
+    assert field.q == 2 or max(orders[:-1]) < field.q - 1
+
+
 @pytest.mark.parametrize("q", [2, 3, 9])
 def test_char2_exp_log_needs_characteristic_2_and_q_above_2(q):
     with pytest.raises(ValueError):

@@ -515,13 +515,13 @@ def test_edges_give_the_neighbour_lists():
 def test_gq_file_roundtrip(tmp_path):
     gq = build_w3(GF.default(2))
     path = tmp_path / "w32.gq"
-    save_gq(path, gq, extra={"source": "unit test"})
+    save_gq(path, gq)
     text = path.read_text()
     first = text.splitlines()[0]
     assert first == "GQ 15 15 2 2"
     assert text.endswith("\n")
     meta = json.loads((tmp_path / "w32.gq.json").read_text())
-    assert meta["name"] == "W(3,2)" and meta["source"] == "unit test"
+    assert meta["name"] == "W(3,2)"
     back = load_gq(path)
     assert back.n_points == gq.n_points
     assert back.lines == gq.lines

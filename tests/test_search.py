@@ -494,6 +494,52 @@ def test_budget_interruption_reports_frontier(q3):
     assert "Incomplete" in md
 
 
+def test_climb_ticks_the_given_clock(q3):
+    model, e, p, t, amb = q3
+    clock = gquad.search._Clock(None)
+    assert sylow_subgroup(amb, 3, clock=clock).order() == 81
+    assert clock.nodes == 5242
+    short = gquad.search._Clock(SearchBudget(nodes=clock.nodes - 1))
+    with pytest.raises(gquad.search._BudgetHit):
+        sylow_subgroup(amb, 3, clock=short)
+
+
+def test_node_budget_covers_climb_and_descent(q3):
+    # the climb takes 5242 nodes, the descent and fusion 4684 more
+    model, e, p, t, amb = q3
+    table = enumerate_regular(model.gq, amb, SearchBudget(nodes=5243))
+    assert not table.complete
+    assert table.notes[0] == "budget exceeded: descent interrupted"
+    table = enumerate_regular(model.gq, amb, SearchBudget(nodes=9926))
+    assert table.complete and table.num_classes == 2
+
+
+@pytest.mark.parametrize("bad", [
+    PermGroup(7, []),
+    PermGroup(8, [Permutation.from_cycles(8, [(0, 1)])]),
+], ids=["degree", "outside"])
+def test_bad_template_fails_before_search(q2, monkeypatch, bad):
+    model, e, p, t, amb = q2
+    calls = []
+
+    def counted(name):
+        real = getattr(gquad.search, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("sylow_subgroup", "_descend"):
+        monkeypatch.setattr(gquad.search, name, counted(name))
+    with pytest.raises(ValueError):
+        enumerate_regular(model.gq, amb, templates={"E": e, "X": bad})
+    assert calls == []
+    # the same calls run the search once the template fits
+    enumerate_regular(model.gq, amb, templates={"E": e})
+    assert calls == ["sylow_subgroup", "_descend"]
+
+
 def test_budget_seconds_must_be_positive():
     with pytest.raises(ValueError):
         SearchBudget(seconds=0)
