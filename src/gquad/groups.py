@@ -22,7 +22,8 @@ isomorphisms are all computed from them with numpy; no element products
 are made after the closure.  A PermGroup has one FiniteGroup, its
 element table, closed on first use and cached: its elements, subgroup
 keys and conjugation-orbit walk all read the table's image-array rows,
-and the walk steps through conjugators as image arrays.
+and the walk steps through conjugators as image arrays, keying all the
+children of one conjugator with one gather.
 
 ``element_closure`` is the one element closure: element tables and the
 search's lazy element walks all come from it.  It multiplies blocks of
@@ -1336,6 +1337,9 @@ def _base_keyer(ambient: PermGroup):
     of the subgroup whose elements' images of B are the rows of block.
     Ambient elements are determined by their images of B, so each row is
     packed exactly into int64 codes; the key is the sorted codes' bytes.
+
+    ``key.many(blocks)`` keys d subgroups at once: blocks has shape
+    |H| x d x |B|, and key i is the bytes of ``key(blocks[:, i])``.
     """
     base = np.asarray(ambient.base(), dtype=np.intp)
     n = ambient.degree
@@ -1351,6 +1355,21 @@ def _base_keyer(ambient: PermGroup):
             return np.sort(codes, axis=0).tobytes()
         return codes[np.lexsort(codes.T[::-1])].tobytes()
 
+    def many(blocks: np.ndarray) -> list[bytes]:
+        codes = blocks.astype(np.int64) @ weights
+        if chunks == 1:
+            # row i: block i's codes, sorted in one call
+            codes = np.sort(codes[:, :, 0].T, axis=1)
+        else:
+            # every block's rows, sorted by block first, then
+            # lexicographically
+            m, d = codes.shape[:2]
+            flat = codes.transpose(1, 0, 2).reshape(d * m, chunks)
+            order = np.lexsort((*flat.T[::-1], np.arange(d * m) // m))
+            codes = flat[order].reshape(d, m, chunks)
+        return [c.tobytes() for c in codes]
+
+    key.many = many
     return base, key
 
 
@@ -1368,29 +1387,36 @@ def subgroup_orbit(ambient: PermGroup, sub: PermGroup, clock=None):
     every step sub^u -> sub^(u*g) of a depth-first walk: key is the
     ``subgroup_key`` of sub^v, v the conjugator's image array and first
     the array that first reached sub^v (v itself on a new conjugate).
-    Raises ``ValueError`` when sub is not inside the ambient; ticks
-    ``clock`` once per step.
+    Each popped conjugator u keys all its children u*g at once, with one
+    gather and one sort; the steps are still yielded, and ``clock``
+    ticked, one at a time.  Raises ``ValueError`` when sub is not inside
+    the ambient.
     """
     _check_inside(ambient, sub)
     stack = FiniteGroup.from_permgroup(sub).rows
     base, key_of = _base_keyer(ambient)
-    ident = np.arange(ambient.degree, dtype=stack.dtype)
+    n = ambient.degree
+    ident = np.arange(n, dtype=stack.dtype)
     gens = np.stack([g.arr for g in ambient.gens] or [ident])
     gens = gens[:len(ambient.gens)]
     inverses = _invert_rows(gens)
+    # child i's images sit at offset i * n of the flattened children
+    offsets = (np.arange(len(gens)) * n)[:, None]
     key0 = key_of(stack[:, base])
     first = {key0: ident}
     yield key0, ident, ident
     todo = [(ident, ident)]
     while todo:
         u, uinv = todo.pop()
-        # the children v = u * g, for every g, in one gather: v applies
-        # u, then g, and v^-1 = g^-1 * u^-1
-        for v, vinv in zip(gens[:, u], uinv[inverses]):
+        # the children v = u * g, for every g: v applies u, then g, and
+        # v^-1 = g^-1 * u^-1
+        vs, vinvs = gens[:, u], uinv[inverses]
+        # the elements v^-1 s v of sub^v send B to v(s(v^-1(B))): every
+        # child's block in one flat gather, |H| x d x |B|
+        keys = key_of.many(vs.ravel()[stack[:, vinvs[:, base]] + offsets])
+        for v, vinv, key in zip(vs, vinvs, keys):
             if clock is not None:
                 clock.tick()
-            # the elements v^-1 s v of sub^v send B to v(s(v^-1(B)))
-            key = key_of(v[stack[:, vinv[base]]])
             known = first.get(key)
             if known is None:
                 # copies: a row would keep its whole block alive

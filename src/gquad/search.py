@@ -119,19 +119,25 @@ def normaliser_gens(ambient: PermGroup, sub: PermGroup, *,
     """Generators of the normaliser of ``sub`` in ``ambient``.
 
     Walks the conjugation orbit of the subgroup under the ambient
-    generators and collects Schreier generators, which together with the
-    subgroup's own generators generate the full normaliser.
+    generators and collects Schreier generators v * first^-1, which
+    together with the subgroup's own generators generate the full
+    normaliser.  Each conjugator first is inverted once, on the first
+    step that returns to its conjugate.
     """
     if not sub.gens:
         return list(ambient.gens)
     out: list[Permutation] = list(sub.gens)
     ident = Permutation.identity(ambient.degree)
     seen = {g.arr.tobytes() for g in (ident, *out)}
-    for _, v, first in subgroup_orbit(ambient, sub, clock):
+    first_inv: dict[bytes, np.ndarray] = {}
+    for key, v, first in subgroup_orbit(ambient, sub, clock):
         if first is v:
             continue
+        finv = first_inv.get(key)
+        if finv is None:
+            finv = first_inv[key] = _invert_rows(first[None, :])[0]
         # v * first^-1: apply v, then first^-1
-        s = _invert_rows(first[None, :])[0][v]
+        s = finv[v]
         b = s.tobytes()
         if b not in seen:
             seen.add(b)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -471,3 +472,44 @@ def test_modulus_override(tmp_path, capsys):
                         "--modulus", "nonsense", "--out", str(out))
     assert code == 1
     assert "bad modulus override" in err
+
+
+# ---------------------------------------------------------------------------
+# determinism contract: pinned table bytes
+# ---------------------------------------------------------------------------
+
+# sha256 of the enumerate-regular tables of derived W(3, q), recorded at
+# commit 44cf032; a change that alters a table's bytes must re-pin them
+TABLE_SHA256 = {
+    2: "a58dcd142a4192fa31829a791d47c48ba615be7e0cd2006d3572e9bccc4b174e",
+    3: "c9a429eb1a812b1064cb6b36d9642ad157fc1f7d8e2cd47c6863e2888eedc48f",
+    5: "7b7e4f0694a79911d891efcb08484157c19d12e5ef79cb332330368c27a47e03",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_census_tables_match_pinned_bytes(tmp_path):
+    for q, want in TABLE_SHA256.items():
+        w3, der = tmp_path / f"w3{q}.gq", tmp_path / f"w3{q}x.gq"
+        out = tmp_path / f"regular-q{q}.json"
+        assert run_cli(["build-gq", "--type", "w3", "--q", str(q),
+                        "--out", str(w3)]) == 0
+        assert run_cli(["payne", "--gq", str(w3), "--out", str(der)]) == 0
+        assert run_cli(["enumerate-regular", "--gq", str(der),
+                        "--out", str(out)]) == 0
+        assert _sha256(out) == want, f"q={q} table bytes changed"
+    # the same bytes from fresh interpreters with other hash seeds
+    src = os.path.dirname(os.path.dirname(gquad.__file__))
+    for seed in ("0", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"q3-seed{seed}.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "gquad.cli", "enumerate-regular",
+             "--gq", str(tmp_path / "w33x.gq"), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert _sha256(out) == TABLE_SHA256[3], f"hash seed {seed}"

@@ -260,3 +260,80 @@ def test_walk_ticks_the_callers_clock(q3):
     amb, e, t, subs = q3
     with pytest.raises(_BudgetHit):
         normaliser_gens(amb, e, clock=_Clock(SearchBudget(nodes=3)))
+
+
+def test_walk_with_no_generators_yields_only_the_start():
+    amb = PermGroup(6, [])
+    got = list(subgroup_orbit(amb, PermGroup(6, [])))
+    assert len(got) == 1
+    key, v, first = got[0]
+    assert first is v and (v == np.arange(6)).all()
+    assert key == subgroup_key(amb, PermGroup(6, []))
+
+
+@pytest.mark.parametrize("cycles", [[(0, 1, 2, 3, 4, 5)],
+                                    [(0, 1, 2), (3, 4)]])
+def test_walk_with_one_generator_matches_object_oracle(cycles):
+    g = Permutation.from_cycles(6, cycles)
+    amb = PermGroup(6, [g])
+    for h in (amb, PermGroup(6, [g * g]), PermGroup(6, [])):
+        got = list(subgroup_orbit(amb, h))
+        want = list(orbit_oracle(amb, h))
+        # an abelian ambient normalises every subgroup: the start, then
+        # one step back to it
+        assert len(got) == len(want) == 2
+        for (key, v, first), (okey, ov, ofirst) in zip(got, want):
+            assert key == okey and (v == ov.arr).all()
+            assert (first is v) == (ofirst is ov)
+
+
+def _wreath(pairs: int, degree: int) -> PermGroup:
+    """C2 wr S_k on the first 2k points, as in the several-codes test."""
+    return PermGroup(degree, [
+        Permutation.from_cycles(degree, [(0, 1)]),
+        Permutation.from_cycles(degree, [tuple(range(0, 2 * pairs, 2)),
+                                         tuple(range(1, 2 * pairs, 2))]),
+        Permutation.from_cycles(degree, [(0, 2), (1, 3)])])
+
+
+@pytest.mark.parametrize("pairs, degree, chunks",
+                         [(2, 8, 1), (16, 32, 2), (8, 512, 2)])
+def test_many_block_keys_equal_single_block_keys(pairs, degree, chunks):
+    amb = _wreath(pairs, degree)
+    base, key_of = _base_keyer(amb)
+    width = 63 // degree.bit_length()
+    assert max(1, -(-len(base) // width)) == chunks
+    rng = np.random.default_rng(degree)
+    for rows, d, top in ((12, 5, 2), (12, 5, degree), (1, 3, degree),
+                         (7, 1, 3), (7, 0, degree)):
+        # few distinct values force ties in the leading code of a row
+        blocks = rng.integers(0, top, size=(rows, d, len(base)))
+        blocks = blocks.astype(np.uint16 if degree > 256 else np.uint8)
+        keys = key_of.many(blocks)
+        assert keys == [key_of(blocks[:, i]) for i in range(d)]
+
+
+def _long_walk(q3):
+    amb, e, t, subs = q3
+    # the subgroup with the longest conjugation orbit walk
+    return max(subs, key=lambda h: sum(1 for _ in subgroup_orbit(amb, h)))
+
+
+@pytest.mark.parametrize("extra", [1, 5])
+def test_node_budget_stops_the_walk_mid_node(q3, extra):
+    amb, e, t, subs = q3
+    h = _long_walk(q3)
+    d = len(amb.gens)
+    full = [key for key, _, _ in subgroup_orbit(amb, h)]
+    nodes = 2 * d + extra       # not a multiple of the children per node
+    assert len(full) > nodes + 1
+    clock = _Clock(SearchBudget(nodes=nodes))
+    got = []
+    with pytest.raises(_BudgetHit):
+        for key, _, _ in subgroup_orbit(amb, h, clock):
+            got.append(key)
+    # the start and one step per node of budget; the next tick raises
+    assert clock.nodes == nodes + 1
+    assert got == full[:nodes + 1]
+    clock = _Clock(SearchBudget(nodes=len(full) - 1))
+    assert [key for key, _, _ in subgroup_orbit(amb, h, clock)] == full
