@@ -230,26 +230,32 @@ def action_from_linear(field: GF, maps: Sequence, gq: Quadrangle,
     """Point permutations of a labelled quadrangle induced by matrices.
 
     Labels must be normalised coordinate rows; maps can be Mat or
-    SemilinearMap, each applied to all labels by one ``mat_mul_batch``.
+    SemilinearMap, all applied to all labels by one ``mat_mul_batch``.
     A map that fails to permute the points, or permutes them but breaks
     a line, raises NotAnAutomorphismError.
     """
     if gq.labels is None:
         raise ValueError("quadrangle carries no coordinate labels")
     labels = np.array(gq.labels, dtype=np.intp)
-    weights = _code_weights(field.q, labels.shape[1])
+    n = labels.shape[1]
+    weights = _code_weights(field.q, n)
     look = code_lookup((field.mul_table[1:, labels] @ weights).T,
                        field.q * weights[0])
-    gens = []
-    for m in maps:
-        mat, e = (m.mat, m.frob) if isinstance(m, SemilinearMap) else (m, 0)
+    maps = [(m.mat, m.frob) if isinstance(m, SemilinearMap) else (m, 0)
+            for m in maps]
+    for mat, _ in maps:
         _check_vec(field, gq.labels[0], mat.rows)
-        frob = np.array([field.frob(x, e) for x in range(field.q)])
-        images = mat_mul_batch(field, frob[labels], mat.to_array())
-        ids = look[images @ weights]
+    frob = np.array([[field.frob(x, e) for x in range(field.q)]
+                     for _, e in maps], dtype=np.intp).reshape(-1, field.q)
+    mats = np.array([mat.to_array() for mat, _ in maps]).reshape(-1, n, n)
+    # each label is a 1 x n matrix, so the labels make the long batch axis
+    images = mat_mul_batch(field, frob[:, labels][:, :, None],
+                           mats[:, None])[:, :, 0]
+    gens = []
+    for img, ids in zip(images, look[images @ weights]):
         bad = np.flatnonzero(ids < 0)
         if bad.size:
-            w = normalise_point(field, images[bad[0]].tolist())
+            w = normalise_point(field, img[bad[0]].tolist())
             raise NotAnAutomorphismError(
                 f"{gq.labels[bad[0]]} maps to {w}, which is not a point")
         try:
@@ -631,30 +637,35 @@ def verify_shear_power_formula(field: GF, n_max: int | None = None,
     return _mismatches([(powers, closed.reshape(powers.shape))], limit)
 
 
+# sylow_exponent powers the unitriangular matrices this many at a time
+_SYLOW_CHUNK = 1 << 16
+
+
 def sylow_exponent(field: GF) -> int:
     """Exponent of the unitriangular subgroup of GL(4,q), by powering.
 
     That subgroup is a Sylow p-subgroup of GL(4,q).  All q^6 of its
     elements are raised to the p-th (and if needed p^2-th) power in
-    batches; the answer is p^2 in characteristic 2 and 3, p beyond.
+    chunks of ``_SYLOW_CHUNK``, each built batch-last as ``mat_mul_batch``
+    works, so no squaring pays a transposing copy; the answer is p^2 in
+    characteristic 2 and 3, p beyond.
     """
     q, p = field.q, field.p
     if q > 9:
         raise TooLargeError(f"q^6 matrices get too big for q = {q}")
     count = q ** 6
-    chunk = 1 << 16
 
     def unitriangular(lo):
         # the matrices lo, lo+1, ... of the chunk: above the diagonal,
         # matrix number idx holds the base-q digits of idx
-        idx = np.arange(lo, min(lo + chunk, count))
-        mats = np.zeros((idx.size, 4, 4), dtype=np.int64)
+        idx = np.arange(lo, min(lo + _SYLOW_CHUNK, count))
+        mats = np.zeros((4, 4, idx.size), dtype=np.uint8)
         for d in range(4):
-            mats[:, d, d] = 1
+            mats[d, d] = 1
         for pos, (i, j) in enumerate([(0, 1), (0, 2), (0, 3),
                                       (1, 2), (1, 3), (2, 3)]):
-            mats[:, i, j] = (idx // q ** pos) % q
-        return mats
+            mats[i, j] = (idx // q ** pos) % q
+        return np.moveaxis(mats, -1, 0)
 
     def stack_pow(stack, e):
         out = None
@@ -670,7 +681,7 @@ def sylow_exponent(field: GF) -> int:
 
     all_p = True
     all_p2 = True
-    for lo in range(0, count, chunk):
+    for lo in range(0, count, _SYLOW_CHUNK):
         pw = stack_pow(unitriangular(lo), p)
         if not mat_identity_mask(pw).all():
             all_p = False

@@ -505,13 +505,13 @@ class GF:
 
     def _ensure_add_table(self):
         if self._add_table is None and self.q <= _TABLE_MAX:
-            digits = np.zeros((self.q, self.f), dtype=np.int64)
+            # digit by digit, so no temporary is larger than q x q
             codes = np.arange(self.q)
-            for i, w in enumerate(self._weights):
-                digits[:, i] = codes // w % self.p
-            s = (digits[:, None, :] + digits[None, :, :]) % self.p
-            w = np.asarray(self._weights, dtype=np.int64)
-            self._add_table = (s * w).sum(axis=2).astype(self._dtype())
+            t = np.zeros((self.q, self.q), dtype=np.int64)
+            for w in self._weights:
+                d = codes // w % self.p
+                t += (d[:, None] + d) % self.p * w
+            self._add_table = t.astype(self._dtype())
         return self._add_table
 
     def _dtype(self):

@@ -210,11 +210,12 @@ class _Closure:
             ident = np.array(identity.data,
                              dtype=np.uint8 if radix <= 256 else np.uint16)
             stack = np.array([g.data for g in gens],
-                             dtype=ident.dtype).reshape(1, d, n, n)
+                             dtype=ident.dtype).reshape(d, 1, n, n)
 
             def product(block):
-                return mat_mul_batch(field, block.reshape(-1, 1, n, n),
-                                     stack).astype(ident.dtype)
+                # the block's rows are the last, long batch axis
+                return mat_mul_batch(field, block.reshape(-1, n, n), stack
+                                     ).swapaxes(0, 1).astype(ident.dtype)
         else:
             raise TypeError(
                 f"no closure over {type(identity).__name__} elements")

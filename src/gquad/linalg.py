@@ -709,29 +709,53 @@ def mat_mul_batch(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise-GF product of stacks of matrices.
 
     a has shape (..., n, k), b shape (..., k, m), with broadcastable
-    leading dimensions; both contain field codes, of any integer dtype.
-    Works via the field's lookup tables, so q <= 1024.  The sum runs over
-    one inner index at a time, so no temporary is larger than the
-    (..., n, m) result: each term is one gather from the flattened
-    multiplication table at a*q + b, and it is added with xor in
-    characteristic 2, else with one gather from the flattened addition
-    table.  Returns int64 codes.
+    leading batch dimensions of any ndim each, both of field codes of
+    an integer dtype (else TypeError); a code outside 0..q-1 raises
+    ValueError naming the first one.  Works via the field's lookup
+    tables, so q <= 1024.
+
+    Each operand is copied once, batch-last (matrix axes first, batch
+    axes last, contiguous), in the narrowest unsigned dtype that holds
+    q^2 - 1: uint8 up to q = 16, uint16 up to 256, else uint32.  Each
+    inner term t is then one gather from the flattened multiplication
+    table at a[t]*q + b[t] over the whole batch, added by xor in
+    characteristic 2, else by one gather from the flattened addition
+    table; stacks whose last batch axis is long run best.  Returns int64
+    codes of shape (*batch, n, m) that keep the batch-last memory: not
+    C-contiguous when there is a batch, and a product fed back in is not
+    copied into another layout.
     """
     q = field.q
-    dtype = np.uint8 if q <= 256 else np.uint16
-    mul = field.mul_table.astype(dtype, copy=False).ravel()
+    index = np.uint8 if q <= 16 else np.uint16 if q <= 256 else np.uint32
+    mul = field.mul_table.astype(index, copy=False).ravel()
     add = (None if field.p == 2
-           else field.add_table.astype(dtype, copy=False).ravel())
-    aq = np.asarray(a, dtype=np.intp) * q
-    b = np.asarray(b, dtype=np.intp)
-    acc = mul.take(aq[..., :, 0, None] + b[..., 0, None, :])
-    for t in range(1, aq.shape[-1]):
-        term = mul.take(aq[..., :, t, None] + b[..., t, None, :])
+           else field.add_table.astype(index, copy=False).ravel())
+    a, b = np.asarray(a), np.asarray(b)
+    for x in (a, b):
+        if x.dtype.kind not in "biu":
+            raise TypeError(f"field codes must be integers, not {x.dtype}")
+        # read as unsigned, a negative code is a huge one
+        if x.size and x.view(f"u{x.itemsize}").max() >= q:
+            bad = x[(x < 0) | (x >= q)][0]
+            raise ValueError(f"code {bad} out of range for GF({q})")
+    nd = max(a.ndim, b.ndim)
+
+    def batch_last(x):
+        # (..., r, c) -> contiguous (r, c, *batch), batch padded to nd - 2;
+        # narrowed in x's own memory order first, which is the fast cast
+        x = x.reshape((1,) * (nd - x.ndim) + x.shape).astype(index)
+        return np.ascontiguousarray(x.transpose(nd - 2, nd - 1,
+                                                *range(nd - 2)))
+
+    aq = batch_last(a.swapaxes(-1, -2)) * q         # (k, n, *batch)
+    terms = (mul.take(x[:, None] + y) for x, y in zip(aq, batch_last(b)))
+    acc = next(terms)
+    for term in terms:
         if add is None:
             acc ^= term
         else:
-            acc = add.take(acc.astype(np.intp) * q + term)
-    return acc.astype(np.int64)
+            acc = add.take(acc * q + term)
+    return acc.astype(np.int64).transpose(*range(2, nd), 0, 1)
 
 
 def mat_identity_mask(a: np.ndarray) -> np.ndarray:

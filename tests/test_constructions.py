@@ -1,6 +1,7 @@
 """Tests for the explicit group constructions and identity checkers."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -543,6 +544,39 @@ def test_sylow_exponent():
     assert sylow_exponent(GF.default(4)) == 4
     assert sylow_exponent(GF.default(5)) == 5
     assert sylow_exponent(GF.default(8)) == 4  # 4 chunks of 2^16
+
+
+def _unitriangular_mats(field):
+    """All q^6 upper unitriangular 4 x 4 matrices over the field."""
+    for d in itertools.product(range(field.q), repeat=6):
+        yield Mat.from_rows(field, [(1, d[0], d[1], d[2]), (0, 1, d[3], d[4]),
+                                    (0, 0, 1, d[5]), (0, 0, 0, 1)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_sylow_exponent_is_lcm_of_element_orders(q):
+    # an independent route: each element powered with Mat.__mul__ until
+    # it reaches the identity, so no mat_mul_batch product is involved
+    k = GF.default(q)
+    eye = Mat.identity(k, 4)
+    exponent = 1
+    for m in _unitriangular_mats(k):
+        power, order = m, 1
+        while power != eye:
+            power, order = power * m, order + 1
+        exponent = math.lcm(exponent, order)
+    assert exponent == k.p ** 2
+    assert sylow_exponent(k) == exponent
+
+
+@pytest.mark.parametrize("q, chunk", [(2, 5), (3, 100), (8, 87381)])
+def test_sylow_exponent_with_chunks_that_do_not_divide_q6(monkeypatch, q,
+                                                          chunk):
+    # 8^6 = 3 * 87381 + 1, so the last GF(8) chunk holds one matrix
+    k = GF.default(q)
+    assert (q ** 6) % chunk
+    monkeypatch.setattr(cons, "_SYLOW_CHUNK", chunk)
+    assert sylow_exponent(k) == k.p ** 2
 
 
 def test_sylow_exponent_guard():

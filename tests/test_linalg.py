@@ -191,6 +191,73 @@ def test_batch_product_matches_mat_products_on_random_stacks():
                 == mat_mul_batch_oracle(k, a, b)).all()
 
 
+@pytest.mark.parametrize("q", [5, 16, 17])
+def test_batch_product_rejects_codes_out_of_range(q):
+    k = GF.default(q)
+    eye = np.eye(2, dtype=np.int64)
+    for bad in (q, q + 2, -1):
+        m = np.array([[1, 0], [bad, 1]])
+        for a, b in ((m, eye), (eye, m), (m[None], eye), (eye, m[None])):
+            with pytest.raises(ValueError, match=rf"code {bad} out of range"):
+                mat_mul_batch(k, a, b)
+    # narrow dtypes are checked too, and the first bad code is named
+    with pytest.raises(ValueError, match=rf"code {q} "):
+        mat_mul_batch(k, eye, np.array([[0, q], [q + 1, 0]], dtype=np.uint8))
+    with pytest.raises(ValueError, match="code -1 "):
+        mat_mul_batch(k, np.array([[0, -1], [0, 0]], dtype=np.int8), eye)
+    with pytest.raises(TypeError, match="integers"):
+        mat_mul_batch(k, np.eye(2), eye)
+    # first in the operand's own index order, not in its memory order
+    with pytest.raises(ValueError, match=rf"code {q + 2} "):
+        mat_mul_batch(k, np.array([[0, q], [q + 2, 0]]).T, eye)
+
+
+@pytest.mark.parametrize("q", [16, 17, 256, 257, 1024])
+def test_batch_product_matches_oracle_at_index_dtype_boundaries(q):
+    # the flat index a*q + b is uint8 up to q = 16, uint16 up to 256 and
+    # uint32 beyond; each layout and broadcast goes through the oracle
+    k = GF.default(q)
+    rng = np.random.default_rng(q)
+
+    def check(a, b, shape):
+        got = mat_mul_batch(k, a, b)
+        assert got.dtype == np.int64 and got.shape == shape
+        assert (got == mat_mul_batch_oracle(k, np.asarray(a, np.int64),
+                                            np.asarray(b, np.int64))).all()
+        return got
+
+    # q - 1 everywhere reaches the largest index, q^2 - 1
+    top = np.full((3, 4, 4), q - 1)
+    check(top, top, (3, 4, 4))
+    check(top.astype(np.uint16), top[0].astype(np.uint16), (3, 4, 4))
+    a = rng.integers(0, q, (6, 3, 4))
+    b = rng.integers(0, q, (6, 4, 2))
+    # batch-last views, laid out as mat_mul_batch returns its products
+    a_last = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+    b_last = np.moveaxis(rng.integers(0, q, (4, 2, 6)), -1, 0)
+    check(a_last, b_last, (6, 3, 2))
+    check(a_last, b, (6, 3, 2))
+    # reversed strides
+    check(a[::-1, ::-1, ::-1], b[::-1], (6, 3, 2))
+    check(a[:, :, ::-1], b[::-1, ::-1, :], (6, 3, 2))
+    # unequal batch ndim, and broadcast batch axes
+    check(a, b[0], (6, 3, 2))
+    check(a[0], b, (6, 3, 2))
+    check(a[:, None], b[None, :5], (6, 5, 3, 2))
+    check(a[:2, None, None], b[None, :3], (2, 1, 3, 3, 2))
+    # empty batches
+    check(a[:0], b[:0], (0, 3, 2))
+    check(a[:0], b[0], (0, 3, 2))
+    check(a[:, None], b[:0], (6, 0, 3, 2))
+    # products fed straight back in, as batch-last views
+    sq = rng.integers(0, q, (5, 4, 4))
+    p = check(sq, sq, (5, 4, 4))
+    assert not p.flags.c_contiguous
+    pp = check(p, p, (5, 4, 4))
+    check(pp, sq, (5, 4, 4))
+    check(sq[0], pp, (5, 4, 4))
+
+
 def test_semilinear_composition_and_inverse():
     rng = random.Random(5)
     for q in [4, 8, 9, 16]:
