@@ -404,9 +404,9 @@ def build_extraspecial27(kind: str, target: Quadrangle | None = None,
     if iso is None:
         raise ValueError("target is not a copy of Q-(5,2)")
     pa = Permutation([iso[i] for i in range(gq.n_points)])
-    pai = pa.inverse()
+    # pa^-1 g pa: apply pa^-1, then g, then pa
     return PermGroup(target.n_points,
-                     [pai * g * pa for g in group.gens]), target
+                     pa.arr[group.rows[:, pa.inverse().arr]]), target
 
 
 def build_gu513() -> tuple[PermGroup, Quadrangle]:
@@ -461,15 +461,11 @@ def build_gu513() -> tuple[PermGroup, Quadrangle]:
     gq = Quadrangle(n, line_tuples(rows, n), s=8, t=64,
                     labels=pts.tolist(), name="Q-(5,8) norm-trace model")
 
-    def perm_from_codes(img):
-        t = look[img]
-        if (t < 0).any():
-            raise AssertionError("map does not preserve the point set")
-        return Permutation(t)
-
-    mult = perm_from_codes(exp[(log[pts] + 511) % q1])
-    frob = perm_from_codes(exp[(log[pts] * 4) % q1])
-    return PermGroup(n, [mult, frob]), gq
+    # the norm-one multiplier and the Frobenius, in one lookup
+    images = look[exp[np.stack([log[pts] + 511, log[pts] * 4]) % q1]]
+    if (images < 0).any():
+        raise AssertionError("map does not preserve the point set")
+    return PermGroup(n, images), gq
 
 
 # ---------------------------------------------------------------------------

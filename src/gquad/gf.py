@@ -520,13 +520,10 @@ class GF:
     def scalar_tables(self):
         """(add, mul, neg, inv) as plain lists for tight scalar loops.
 
-        inv[0] is None.  Available for q <= 1024 only.
+        inv[0] is None.  Past q = 1024 the full tables raise ValueError.
         """
         if getattr(self, "_scalar_tables", None) is None:
-            add = [[self.add(a, b) for b in range(self.q)]
-                   for a in range(self.q)]
-            mul = [[self.mul(a, b) for b in range(self.q)]
-                   for a in range(self.q)]
+            add, mul = self.add_table.tolist(), self.mul_table.tolist()
             neg = [self.neg(a) for a in range(self.q)]
             inv = [None] + [self.inv(a) for a in range(1, self.q)]
             self._scalar_tables = (add, mul, neg, inv)

@@ -1,15 +1,18 @@
 """Permutation groups and small abstract groups.
 
 Permutations map 0-based points through an image array; the product
-g * h applies g first, then h, so x^(g*h) = h(g(x)).  A regular
-PermGroup's order is certified from its centraliser, with no chain.  For
-membership, and for the order of any other group, PermGroup builds a
-deterministic stabiliser chain lazily, by incremental Schreier-Sims: a
-new level's base point is the least point moved by the residue that
-opens it, after any base_prefix.  Each level's orbit and transversal
-only grow, breadth-first with numpy gathers, so every Schreier generator
-u_b g u_{b^g}^-1 is formed and sifted once, in blocks of image-array
-rows; the bottom level tests u_b g == u_{b^g} with no inverse at all.
+g * h applies g first, then h, so x^(g*h) = h(g(x)).  A PermGroup keeps
+its generators as one read-only block of image-array rows, which its
+chain, orbits, checks and keys all read; its ``gens`` are Permutations
+viewing those rows.  A regular PermGroup's order is certified from its
+centraliser, with no chain.  For membership, and for the order of any
+other group, PermGroup builds a deterministic stabiliser chain lazily,
+by incremental Schreier-Sims: a new level's base point is the least
+point moved by the residue that opens it, after any base_prefix.  Each
+level's orbit and transversal only grow, breadth-first with numpy
+gathers, so every Schreier generator u_b g u_{b^g}^-1 is formed and
+sifted once, in blocks of image-array rows; the bottom level tests
+u_b g == u_{b^g} with no inverse at all.
 FiniteGroup is the element closure of matrices or permutations (matrix
 groups, where a permutation degree would be too wasteful, and small
 permutation groups) together with integer tables over the element
@@ -21,17 +24,16 @@ closures, the lower central series, power and Frattini subgroups and
 isomorphisms are all computed from them with numpy; no element products
 are made after the closure.  A PermGroup has one FiniteGroup, its
 element table, closed on first use and cached: its elements, subgroup
-keys and conjugation-orbit walk all read the table's image-array rows,
-and the walk steps through conjugators as image arrays, keying all the
-children of one conjugator with one gather.
+keys and conjugation-orbit walk all read the table's rows, and the walk
+keys all the children of one conjugator with one gather.
 
 ``element_closure`` is the one element closure: element tables and the
 search's lazy element walks all come from it.  It multiplies blocks of
-element code rows by every generator at once and keys the products
-exactly.  Its order is a contract: the identity first, then out[i] * g
-for i ascending and g in generator order, each product kept only when
-new, so every element after the identity is an earlier element times a
-generator.
+element code rows by every generator at once, keys the products exactly
+and hands on blocks of new rows.  Its order is a contract: the identity
+first, then out[i] * g for i ascending and g in generator order, each
+product kept only when new, so every element after the identity is an
+earlier element times a generator.
 
 Commutators are [g, h] = g^-1 h^-1 g h throughout.
 """
@@ -105,11 +107,12 @@ def element_closure(identity, gens: Sequence, *, limit: int | None = None,
     """The group generated by ``gens`` (Permutations or square Mats), as
     a lazy walk in the closure order of the module docstring.
 
-    Iterating the walk yields the elements; it raises ``TooLargeError`` on
-    a new element past ``limit`` elements and ticks ``clock`` once per new
-    element.  ``walk.tables()`` closes it and returns the code rows of
-    all elements and the right-multiplication table
-    R[i, k] = index(elements[i] * gens[k]).
+    Iterating the walk yields the elements, made from each block of new
+    code rows, and ticks ``clock`` once per new element.  ``limit`` is
+    checked once per block: ``TooLargeError`` is raised when a block takes
+    the walk past ``limit`` elements, so a lazily read walk may raise up
+    to one block early.  ``walk.tables()`` closes it and returns the code
+    rows of all elements and R[i, k] = index(elements[i] * gens[k]).
     """
     return _Closure(identity, gens, limit, clock)
 
@@ -172,33 +175,40 @@ class _Closure:
     the order of the one-at-a-time loop, and the same pass writes the
     block's rows of R.  Blocks start at one row and double, up to
     ``_CLOSURE_BLOCK_CELLS`` product cells, so a walk stopped early
-    wastes little.  Element objects are made from the new rows only, and
-    not at all when ``tables()`` closes the walk.
+    wastes little.  ``_blocks`` yields each block's new rows, checking
+    ``limit`` once per block; element objects are made from the new rows
+    only, and not at all when ``tables()`` closes the walk.
     """
 
     def __init__(self, identity, gens, limit, clock):
+        self._identity, self._clock = identity, clock
         self._right: list[np.ndarray] = []
-        self._bare = False
-        self._walk = self._blocks(identity, list(gens), limit, clock)
+        self._walk = self._blocks(identity, list(gens), limit)
 
     def __iter__(self):
-        return self._walk
+        yield self._identity
+        for fresh in self._walk:
+            for e in _objects(self._identity, fresh):
+                if self._clock is not None:
+                    self._clock.tick()
+                yield e
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, R): the code rows of all elements in closure order,
         read-only, and R.  The rest of the walk is closed with the same
         limit and clock ticks, making no element objects."""
-        self._bare = True
-        for _ in self._walk:
-            pass
+        for fresh in self._walk:
+            if self._clock is not None:
+                self._clock.tick(len(fresh))
         return self._rows, np.concatenate(self._right)
 
-    def _blocks(self, identity, gens, limit, clock):
+    def _blocks(self, identity, gens, limit):
         d = len(gens)
         if isinstance(identity, Permutation):
             ident = identity.arr
             radix = width = identity.degree
-            stack = np.stack([g.arr for g in gens] or [ident])
+            stack = np.array([g.arr for g in gens],
+                             dtype=ident.dtype).reshape(d, width)
             # x^(e*g) = g(e(x)): gather the generators' rows at e's images
             offsets = (np.arange(d, dtype=np.intp) * width)[:, None]
 
@@ -223,8 +233,7 @@ class _Closure:
         rows = np.empty((16, width), dtype=ident.dtype)
         rows[0] = ident
         index = _Index.fromkeys(keys(rows[:1]), 0)
-        size = count = 1
-        yield identity
+        size = 1
         cap = max(1, _CLOSURE_BLOCK_CELLS // max(1, d * width))
         lo, step = 0, 1
         while lo < size:
@@ -236,6 +245,8 @@ class _Closure:
             lo, step = hi, min(2 * step, cap)
             if len(index) == size:
                 continue
+            if limit is not None and len(index) > limit:
+                raise TooLargeError(f"closure exceeds limit {limit}")
             # the new indices were handed out in order of first occurrence,
             # so each first occurrence raises the running maximum
             top = np.maximum.accumulate(np.concatenate(([size - 1], found)))
@@ -246,14 +257,7 @@ class _Closure:
                 rows = grown
             rows[size:len(index)] = fresh
             size = len(index)
-            for e in (range(len(fresh)) if self._bare
-                      else _objects(identity, fresh)):
-                if limit is not None and count >= limit:
-                    raise TooLargeError(f"closure exceeds limit {limit}")
-                if clock is not None:
-                    clock.tick()
-                count += 1
-                yield e
+            yield fresh
         self._rows = rows[:size].copy() if len(rows) > size else rows
         self._rows.setflags(write=False)
 
@@ -284,10 +288,10 @@ class Permutation:
         if arr.ndim != 1 or arr.shape[0] == 0:
             raise InvalidPermutationError("images must be a non-empty 1d list")
         n = arr.shape[0]
-        if not _checked:
-            if arr.min() < 0 or arr.max() >= n or len(np.unique(arr)) != n:
-                raise InvalidPermutationError(
-                    f"not a bijection on [0,{n})")
+        if not _checked and (arr.dtype.kind not in "iu" or arr.min() < 0
+                             or arr.max() >= n or len(np.unique(arr)) != n):
+            raise InvalidPermutationError(
+                f"not a bijection on the integers [0,{n})")
         arr = arr.astype(_dtype_for(n), copy=False)
         self.arr = arr
         self.arr.setflags(write=False)
@@ -406,29 +410,28 @@ class Permutation:
 class _Level:
     """One stabiliser-chain level: base point, strong generators, orbit.
 
-    gens are the strong generators that fix every earlier base point, in
-    insertion order; stack holds their image arrays as rows.  The orbit
-    of the base and its transversal only grow: ``add`` extends the orbit
+    stack holds the image arrays of the strong generators that fix every
+    earlier base point, as rows in insertion order.  The orbit of the
+    base and its transversal only grow: ``add`` extends the orbit
     breadth-first from the points already in it and keeps their rows, so
     a Schreier generator that once sifted to the identity keeps doing so.
-    done[k] is the watermark of gens[k]: the Schreier generators of gens[k]
-    at the orbit positions below it have been sifted.
+    done[k] is the watermark of stack[k]: the Schreier generators of
+    stack[k] at the orbit positions below it have been sifted.
 
     Orbit position i holds the point orbit[i], reached from position
-    parent[i] by gens[via[i]]; trans[i] is the image array of the
+    parent[i] by stack[via[i]]; trans[i] is the image array of the
     transversal element u with base^u = orbit[i].  Past
     ``_FULL_TRANSVERSAL_ENTRIES`` cells trans is None, and rows are walked
     from the Schreier vector (parent, via) when asked for.  Inverse rows
     of a full transversal are cached as they are first needed.
     """
 
-    __slots__ = ("base", "gens", "stack", "done", "orbit", "pos", "parent",
+    __slots__ = ("base", "stack", "done", "orbit", "pos", "parent",
                  "via", "trans", "inv", "has_inv")
 
     def __init__(self, base: int, degree: int):
         dtype = _dtype_for(degree)
         self.base = base
-        self.gens: list[Permutation] = []
         self.stack = np.empty((0, degree), dtype=dtype)
         self.done: list[int] = []
         self.orbit = np.array([base], dtype=np.intp)
@@ -443,13 +446,12 @@ class _Level:
     def orbit_size(self) -> int:
         return len(self.orbit)
 
-    def add(self, g: Permutation):
-        """Append a strong generator, and grow the orbit breadth-first:
-        the points already there under g, then each new layer under every
-        generator, in (point, generator) order."""
-        k = len(self.gens)
-        self.gens.append(g)
-        self.stack = np.vstack([self.stack, g.arr[None, :]])
+    def add(self, g: np.ndarray):
+        """Append a strong generator's image array, and grow the orbit
+        breadth-first: the points already there under g, then each new
+        layer under every generator, in (point, generator) order."""
+        k = len(self.stack)
+        self.stack = np.vstack([self.stack, g[None, :]])
         self.done.append(0)
         old = size = len(self.orbit)
         seen = self.pos >= 0
@@ -620,28 +622,37 @@ def _sift(levels: list[_Level], block: np.ndarray, start: int = 0):
 
 
 class PermGroup:
-    """Permutation group with a lazily built deterministic chain."""
+    """Permutation group with a lazily built deterministic chain.
+
+    ``rows``, the one store of the generators, is a read-only (d, degree)
+    block of image arrays in the degree's dtype: first occurrences in
+    input order, with the identity and repeats dropped.  Generators may
+    be Permutations or image arrays, checked as Permutations; ``gens``
+    views the rows as Permutations."""
 
     def __init__(self, degree: int, generators: Iterable = (),
                  *, base_prefix: Sequence[int] = ()):
         self.degree = degree
         self._base_prefix = tuple(base_prefix)
-        gens = []
-        seen = set()
+        rows = {}
         for g in generators:
             if not isinstance(g, Permutation):
                 g = Permutation(g)
             if g.degree != degree:
                 raise InvalidPermutationError(
                     f"generator degree {g.degree} != {degree}")
-            if g.is_identity() or g in seen:
-                continue
-            seen.add(g)
-            gens.append(g)
-        self.gens = tuple(gens)
+            if not g.is_identity():
+                rows.setdefault(g.arr.tobytes(), g.arr)
+        self.rows = np.array(list(rows.values()), dtype=_dtype_for(degree)
+                             ).reshape(len(rows), degree)
+        self.rows.setflags(write=False)
         self._levels: list[_Level] | None = None
         self._order: int | None = None
         self._table: FiniteGroup | None = None
+
+    @functools.cached_property
+    def gens(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation._from_rows(self.rows))
 
     # -- stabiliser chain ------------------------------------------------
 
@@ -655,15 +666,14 @@ class PermGroup:
         levels = [_Level(b, self.degree) for b in self._base_prefix]
 
         def insert(residue: np.ndarray, i: int):
-            # a copy: the residue is a row of a whole block
-            g = Permutation(residue.copy(), _checked=True)
             if i == len(levels):
-                levels.append(_Level(g.least_moved(), self.degree))
+                moved = residue != np.arange(self.degree)
+                levels.append(_Level(int(np.argmax(moved)), self.degree))
             for lv in levels[:i + 1]:
-                lv.add(g)
+                lv.add(residue)
 
-        for g in self.gens:
-            stop, residues = _sift(levels, g.arr[None, :])
+        for row in self.rows:
+            stop, residues = _sift(levels, row[None, :])
             if stop[0] >= 0:
                 insert(residues[0], stop[0])
         j = len(levels) - 1
@@ -691,12 +701,11 @@ class PermGroup:
         return _sift(self._chain(), block)[0] < 0
 
     def _validate_chain(self):
-        if not self.gens:
-            return
-        if not self._contains_rows(np.stack([g.arr for g in self.gens])).all():
+        if not self._contains_rows(self.rows).all():
             raise AssertionError("chain rejects a generator")
-        few = self.gens[:8]
-        products = np.stack([b.arr[a.arr] for a in few for b in few])
+        # products[a, b] applies few[a], then few[b]
+        few = self.rows[:8]
+        products = few.T[few].swapaxes(1, 2).reshape(-1, self.degree)
         if not self._contains_rows(products).all():
             raise AssertionError("chain rejects a generator product")
 
@@ -705,8 +714,7 @@ class PermGroup:
         certifies regular has order ``degree`` and builds no chain; any
         other group's order is the product of its chain's orbit sizes."""
         if self._order is None:
-            if _regular_by_centraliser(self.degree,
-                                       [g.arr for g in self.gens]):
+            if _regular_by_centraliser(self.degree, self.rows):
                 self._order = self.degree
             else:
                 self._order = math.prod(lv.orbit_size()
@@ -722,10 +730,10 @@ class PermGroup:
         return [lv.base for lv in self._chain()]
 
     def point_stabilizer(self, x: int) -> "PermGroup":
-        chain = PermGroup(self.degree, self.gens, base_prefix=(x,))
+        chain = PermGroup(self.degree, self.rows, base_prefix=(x,))
         levels = chain._chain()
-        gens = levels[1].gens if len(levels) > 1 else []
-        sub = PermGroup(self.degree, gens)
+        sub = PermGroup(self.degree, levels[1].stack if len(levels) > 1
+                        else ())
         sub._order = chain.order() // levels[0].orbit_size()
         return sub
 
@@ -734,7 +742,7 @@ class PermGroup:
     def orbit(self, x: int) -> list[int]:
         mask = np.zeros(self.degree, dtype=bool)
         mask[x] = True
-        _close(mask, np.array([x], dtype=np.intp), [g.arr for g in self.gens])
+        _close(mask, np.array([x], dtype=np.intp), self.rows)
         return np.flatnonzero(mask).tolist()
 
     def orbits(self, on: Iterable[int] | None = None) -> list[list[int]]:
@@ -762,28 +770,30 @@ class PermGroup:
 
     def __repr__(self):
         return (f"PermGroup(degree={self.degree}, "
-                f"ngens={len(self.gens)})")
+                f"ngens={len(self.rows)})")
 
 
 # ---------------------------------------------------------------------------
 # regularity of actions
 # ---------------------------------------------------------------------------
 
-def _check_invariant(group: PermGroup, pts: np.ndarray):
+def _check_invariant(group: PermGroup, on: Iterable[int]) -> np.ndarray:
+    """The points of ``on``, ascending, once they are checked to be a
+    non-empty set that every generator maps to itself."""
+    pts = np.asarray(sorted(set(on)), dtype=np.int64)
+    if pts.size == 0:
+        raise ValueError("empty point set")
     mask = np.zeros(group.degree, dtype=bool)
     mask[pts] = True
-    for g in group.gens:
-        if not mask[g.arr[pts]].all():
-            raise NotInvariantError("point set is not group-invariant")
+    if not mask[group.rows[:, pts]].all():
+        raise NotInvariantError("point set is not group-invariant")
+    return pts
 
 
 def is_semiregular(group: PermGroup, on: Iterable[int],
                    order: int | None = None) -> bool:
     """True iff every point stabiliser is trivial on the given set."""
-    pts = np.asarray(sorted(set(on)), dtype=np.int64)
-    if pts.size == 0:
-        raise ValueError("empty point set")
-    _check_invariant(group, pts)
+    pts = _check_invariant(group, on)
     n = group.order() if order is None else order
     remaining = set(pts.tolist())
     while remaining:
@@ -803,10 +813,7 @@ def is_regular(group: PermGroup, on: Iterable[int],
     order is known externally, which saves the chain when ``on`` is a
     proper invariant subset.
     """
-    pts = np.asarray(sorted(set(on)), dtype=np.int64)
-    if pts.size == 0:
-        raise ValueError("empty point set")
-    _check_invariant(group, pts)
+    pts = _check_invariant(group, on)
     n = group.order() if order is None else order
     if n != pts.size:
         return False
@@ -820,7 +827,7 @@ def is_regular(group: PermGroup, on: Iterable[int],
 def _close(mask: np.ndarray, frontier: np.ndarray, perms: list) -> None:
     """Close ``mask`` in place under the index permutations ``perms``,
     walking outwards from ``frontier``."""
-    while perms and frontier.size:
+    while len(perms) and frontier.size:
         images = np.concatenate([perm[frontier] for perm in perms])
         frontier = np.unique(images[~mask[images]])
         mask[frontier] = True
@@ -841,7 +848,7 @@ def _regular_by_centraliser(degree: int, perms: list) -> bool:
     """
     if not degree:
         return False
-    stack = np.stack(perms) if perms else np.empty((0, degree), np.intp)
+    stack = np.asarray(perms, dtype=_dtype_for(degree)).reshape(-1, degree)
     # a non-identity element of a regular group fixes no point
     if (stack == np.arange(degree)).any():
         return False
@@ -869,7 +876,7 @@ def _regular_by_centraliser(degree: int, perms: list) -> bool:
         c[0] = np.argmin(orbit)
         for pts, parent, via in layers:
             c[pts] = stack[via, c[parent]]
-        if any((c[g] != g[c]).any() for g in stack):
+        if (c[stack] != stack[:, c]).any():
             return False
         found.append(c)
         _close(orbit, np.flatnonzero(orbit), found)
@@ -1310,12 +1317,10 @@ def report_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _check_inside(ambient: PermGroup, sub: PermGroup):
-    """Raise ValueError unless every subgroup generator, all sifted as
-    one block, lies in the ambient group."""
-    if not sub.gens:
-        return
-    if sub.degree != ambient.degree or not ambient._contains_rows(
-            np.stack([s.arr for s in sub.gens])).all():
+    """Raise ValueError unless the degrees agree and every subgroup
+    generator, all sifted as one block, lies in the ambient group."""
+    if sub.degree != ambient.degree or len(sub.rows) and not (
+            ambient._contains_rows(sub.rows).all()):
         raise ValueError("subgroup generator outside ambient group")
 
 
@@ -1324,13 +1329,11 @@ def is_normal(ambient: PermGroup, sub: PermGroup) -> bool:
     conjugate g^-1 s g of a subgroup generator s by an ambient generator
     g, sifted as one block, lies in the subgroup."""
     _check_inside(ambient, sub)
-    if not (ambient.gens and sub.gens):
-        return True
-    stack = np.stack([s.arr for s in sub.gens])
-    # apply g^-1, then s, then g
-    conjugates = np.concatenate([g.arr[stack[:, g.inverse().arr]]
-                                 for g in ambient.gens])
-    return bool(sub._contains_rows(conjugates).all())
+    g, n = ambient.rows, ambient.degree
+    # conjugate (j, k) applies g[k]^-1, then s[j], then g[k]
+    conjugates = g.ravel()[sub.rows[:, _invert_rows(g)]
+                           + n * np.arange(len(g))[:, None]]
+    return bool(sub._contains_rows(conjugates.reshape(-1, n)).all())
 
 
 def _base_keyer(ambient: PermGroup):
@@ -1340,7 +1343,7 @@ def _base_keyer(ambient: PermGroup):
     packed exactly into int64 codes; the key is the sorted codes' bytes.
 
     ``key.many(blocks)`` keys d subgroups at once: blocks has shape
-    |H| x d x |B|, and key i is the bytes of ``key(blocks[:, i])``.
+    |H| x d x |B|, and key(block) is ``key.many(block[:, None])[0]``.
     """
     base = np.asarray(ambient.base(), dtype=np.intp)
     n = ambient.degree
@@ -1351,10 +1354,7 @@ def _base_keyer(ambient: PermGroup):
         weights[j, j // width] = n ** (width - 1 - j % width)
 
     def key(block: np.ndarray) -> bytes:
-        codes = block.astype(np.int64) @ weights
-        if chunks == 1:
-            return np.sort(codes, axis=0).tobytes()
-        return codes[np.lexsort(codes.T[::-1])].tobytes()
+        return many(block[:, None])[0]
 
     def many(blocks: np.ndarray) -> list[bytes]:
         codes = blocks.astype(np.int64) @ weights
@@ -1398,9 +1398,7 @@ def subgroup_orbit(ambient: PermGroup, sub: PermGroup, clock=None):
     base, key_of = _base_keyer(ambient)
     n = ambient.degree
     ident = np.arange(n, dtype=stack.dtype)
-    gens = np.stack([g.arr for g in ambient.gens] or [ident])
-    gens = gens[:len(ambient.gens)]
-    inverses = _invert_rows(gens)
+    gens, inverses = ambient.rows, _invert_rows(ambient.rows)
     # child i's images sit at offset i * n of the flattened children
     offsets = (np.arange(len(gens)) * n)[:, None]
     key0 = key_of(stack[:, base])
@@ -1441,11 +1439,9 @@ def is_conjugate_subgroup(ambient: PermGroup, h1: PermGroup,
         if first is w and key == target:
             # verify the witness for real, not just by key: w^-1 s w, for
             # each generator s of h1, applies w^-1, then s, then w
-            if h1.gens:
-                stack = np.stack([s.arr for s in h1.gens])
-                winv = _invert_rows(w[None, :])[0]
-                if not h2._contains_rows(w[stack[:, winv]]).all():
-                    raise AssertionError("conjugate key mismatch")
+            winv = _invert_rows(w[None, :])[0]
+            if not h2._contains_rows(w[h1.rows[:, winv]]).all():
+                raise AssertionError("conjugate key mismatch")
             return Permutation(w, _checked=True)
         if step >= budget:
             return UNKNOWN
@@ -1582,9 +1578,8 @@ def find_isomorphism(g1, g2, *, max_order: int = 4096):
 # ---------------------------------------------------------------------------
 
 def save_group(path, group: PermGroup):
-    lines = [f"GRP {group.degree} {len(group.gens)}"]
-    for g in group.gens:
-        lines.append(" ".join(str(int(x)) for x in g.arr))
+    lines = [f"GRP {group.degree} {len(group.rows)}"]
+    lines += [" ".join(map(str, row)) for row in group.rows.tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -355,14 +355,12 @@ def line_action(gq: Quadrangle, group: PermGroup) -> PermGroup:
     """
     if group.degree != gq.n_points:
         raise ValueError("group degree does not match the point count")
-    gens = []
-    for g in group.gens:
-        images = gq.line_index(g.arr[gq.line_matrix()])
-        if (images < 0).any():
-            line = gq.lines[int(np.argmax(images < 0))]
-            raise ValueError(f"generator maps line {line} off the line set")
-        gens.append(Permutation(images))
-    return PermGroup(gq.n_lines, gens)
+    images = gq.line_index(group.rows[:, gq.line_matrix()])
+    broken = np.flatnonzero(images < 0)
+    if broken.size:
+        line = gq.lines[int(broken[0]) % gq.n_lines]
+        raise ValueError(f"generator maps line {line} off the line set")
+    return PermGroup(gq.n_lines, images)
 
 
 def perp_set(gq: Quadrangle, x: int) -> list[int]:
@@ -601,8 +599,7 @@ def aut_incidence(gq: Quadrangle) -> PermGroup:
     group = PermGroup(n, gens)
     if group.order() != expected:
         raise AssertionError("orbit product disagrees with the chain order")
-    if any((gq.line_index(g.arr[gq.line_matrix()]) < 0).any()
-           for g in group.gens):
+    if (gq.line_index(group.rows[:, gq.line_matrix()]) < 0).any():
         raise AssertionError("automorphism breaks the line set")
     return group
 

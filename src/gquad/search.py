@@ -207,7 +207,7 @@ class RegularClass:
             "matches": list(self.matches),
             "iso_class": self.iso_class,
             "invariants": {k: v for k, v in self.invariants.items()},
-            "generators": [[int(x) for x in g.arr] for g in self.rep.gens],
+            "generators": self.rep.rows.tolist(),
         }
 
 
@@ -331,8 +331,7 @@ def _descend(sylow: PermGroup, target: int, clock: "_Clock",
                     key = key_of(sub[:, base])
                     if key not in seen:
                         seen.add(key)
-                        m = PermGroup(n, Permutation._from_rows(
-                            hf.rows[gens]))
+                        m = PermGroup(n, hf.rows[gens])
                         kept = leaves if len(sub) == target else nxt
                         kept.append((key, m))
             # fuse conjugate internal nodes before descending further;
@@ -340,7 +339,7 @@ def _descend(sylow: PermGroup, target: int, clock: "_Clock",
             layer = (_fuse(ambient, nxt, clock)[0] if len(nxt) > 1
                      else [m for _, m in nxt])
     except _BudgetHit:
-        frontier = [[[int(x) for x in g.arr] for g in h.gens] for h in layer]
+        frontier = [h.rows.tolist() for h in layer]
         raise _BudgetHit("descent interrupted", leaves, frontier) from None
     return leaves
 
@@ -410,7 +409,7 @@ def _transversal_search(ambient: PermGroup, n: int, clock: "_Clock"):
         clock.tick()
         if len(members) == n:
             found.append((key_of(rows[members][:, base]),
-                          PermGroup(deg, Permutation._from_rows(rows[gens]))))
+                          PermGroup(deg, rows[gens])))
             return
         t = np.setdiff1d(np.arange(deg), rows[members, 0])[0]
         bucket = cand[starts[t]:starts[t + 1]]
@@ -485,8 +484,7 @@ def enumerate_regular(gq, ambient: PermGroup, budget=None, *,
             else:
                 if sylow.degree != n:
                     raise ValueError("sylow degree mismatch")
-                if sylow.gens and not ambient._contains_rows(
-                        np.stack([g.arr for g in sylow.gens])).all():
+                if not ambient._contains_rows(sylow.rows).all():
                     raise ValueError("sylow generator outside ambient")
                 if sylow.order() != _p_part(amb_order, p):
                     raise ValueError("given subgroup is not Sylow")

@@ -387,3 +387,15 @@ def test_triple_image_matches_brute_force():
             for a in k.elements() for b in k.elements()
         }
         assert triple_image(k) == brute
+
+
+def test_scalar_tables_are_the_full_tables_as_lists():
+    for q in SMALL_Q + [1024]:
+        k = GF.default(q)
+        add, mul, neg, inv = k.scalar_tables()
+        assert add == [[k.add(a, b) for b in range(q)] for a in range(q)]
+        assert mul == [[k.mul(a, b) for b in range(q)] for a in range(q)]
+        assert neg == [k.neg(a) for a in range(q)]
+        assert inv == [None] + [k.inv(a) for a in range(1, q)]
+    with pytest.raises(ValueError):
+        GF(p=2, f=11).scalar_tables()

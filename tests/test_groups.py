@@ -101,6 +101,45 @@ def test_permutation_validation():
         cyc(3, (0, 1)) * cyc(4, (0, 1))
 
 
+@pytest.mark.parametrize("images", [[0.5, 1], [1.7, 0.2], [True, False],
+                                    ["1", "0"]])
+def test_permutation_rejects_non_integer_images(images):
+    # none may round, cast or slip through to the identity or a swap
+    with pytest.raises(InvalidPermutationError):
+        Permutation(images)
+    with pytest.raises(InvalidPermutationError):
+        PermGroup(2, [images])
+
+
+def test_generator_block_contract():
+    a, b = cyc(6, (0, 1, 2)), cyc(6, (3, 4))
+    ident = Permutation.identity(6)
+    given = [ident, b, a, b, ident, a * b, a]
+    group = PermGroup(6, given)
+    # first occurrences in input order, the identity and repeats dropped
+    want = [b, a, a * b]
+    assert group.rows.tolist() == [g.arr.tolist() for g in want]
+    assert group.rows.shape == (3, 6) and group.rows.dtype == np.uint16
+    assert not group.rows.flags.writeable
+    with pytest.raises(ValueError):
+        group.rows[0, 0] = 1
+    assert group.gens == tuple(want)
+    assert all(np.shares_memory(g.arr, group.rows) for g in group.gens)
+    # the same group from a block of image arrays, in any integer dtype
+    block = np.array([g.arr for g in given], dtype=np.int64)
+    same = PermGroup(6, block)
+    assert same.rows.dtype == np.uint16
+    assert (same.rows == group.rows).all()
+    assert same.order() == group.order() == 6
+    assert same.base() == group.base()
+    assert PermGroup(6).rows.shape == (0, 6)
+    assert PermGroup(1 << 16).rows.dtype == np.uint32
+    with pytest.raises(InvalidPermutationError):
+        PermGroup(6, [cyc(5, (0, 1))])
+    with pytest.raises(InvalidPermutationError):
+        PermGroup(6, np.array([[1, 0, 2, 3, 4]]))
+
+
 def test_permutation_hash_eq():
     a = cyc(5, (0, 1, 2))
     b = cyc(5, (1, 2)) * cyc(5, (0, 1))

@@ -371,6 +371,17 @@ def test_line_action_matches_loop_and_rejects_line_breaker():
         line_action(grid33(), swap)
 
 
+def test_line_action_names_the_line_a_later_generator_breaks():
+    gq = grid33()
+    keep = aut_incidence(gq).gens[0]
+    assert line_action(gq, PermGroup(9, [keep])).order() > 1
+    swap = Permutation.from_cycles(9, [(0, 1)])
+    with pytest.raises(ValueError,
+                       match=r"^generator maps line \(0, 3, 6\) off the "
+                             r"line set$"):
+        line_action(gq, PermGroup(9, [keep, swap]))
+
+
 def test_not_isomorphic_same_parameters():
     # W(3,q) and its dual Q(4,q) both have 40 points and 40 lines at q=3
     # but are not isomorphic for odd q: the joint refinement of the

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -733,3 +734,34 @@ def test_markdown_layout(q2):
     md = table.to_markdown()
     assert md.count("|") > 20
     assert "C4 x C2" in md and "D8" in md
+
+
+# sha256 of the Sylow climb's output in the full automorphism group of
+# the derived W(3, q): the generators' image rows as '<u2' bytes, in
+# generator order, and the q=3 table enumerated with no Sylow group or
+# templates given; recorded at commit f12f27f
+CLIMB_SYLOW = {
+    3: (81, 4, "dfdba9e212a828647ab08b364484cecc"
+               "424073b458f311245889e04b248d7ba6"),
+    4: (1024, 9, "1ca234722720a5876b08afae441430bf"
+                 "821bf2045433850a08c62babba389e07"),
+}
+CLIMB_TABLE_Q3 = ("2999e51b860104b8c0b4d30c60ce5231"
+                  "ae1ca407b0978705e7dd13ec600997cd")
+
+
+@pytest.mark.parametrize("q", sorted(CLIMB_SYLOW))
+def test_sylow_climb_matches_pinned_generators(q):
+    model = _model(q)
+    sylow = sylow_subgroup(aut_incidence(model.gq), model.field.p)
+    rows = np.array([g.arr for g in sylow.gens], dtype="<u2")
+    digest = hashlib.sha256(rows.tobytes()).hexdigest()
+    assert (sylow.order(), len(sylow.gens), digest) == CLIMB_SYLOW[q]
+
+
+def test_full_aut_climb_table_matches_pinned_bytes():
+    model = _model(3)
+    table = enumerate_regular(model.gq, aut_incidence(model.gq))
+    assert table.complete and table.num_classes == 2
+    digest = hashlib.sha256(table.to_json().encode()).hexdigest()
+    assert digest == CLIMB_TABLE_Q3
