@@ -183,6 +183,8 @@ def _cmd_build_gq(args, cfg: RunConfig) -> int:
             raise ValueError("--q is required for type qminus5")
         gq = build_qminus5(_field_for(args.q, cfg))
     elif args.type == "gu513":
+        if args.q is not None:
+            raise ValueError("type gu513 is Q-(5,8) and takes no --q")
         _, gq = build_gu513()
     else:
         raise ValueError(f"unknown quadrangle type {args.type!r}")
@@ -262,12 +264,18 @@ def _group_action(name: str, model):
 
 
 def _cmd_construct_group(args, cfg: RunConfig) -> int:
+    takes_no_q = ("extraspecial27-exp3", "extraspecial27-exp9", "gu513")
+    if args.name in takes_no_q and args.q is not None:
+        raise ValueError(f"group {args.name} takes no --q")
     if args.name in ("extraspecial27-exp3", "extraspecial27-exp9"):
         target = load_gq(args.gq) if args.gq else None
         group, _ = build_extraspecial27(
             "exp" + args.name.rsplit("exp", 1)[1], target)
     elif args.name == "gu513":
-        group, _ = build_gu513()
+        group, gq = build_gu513()
+        if args.gq and load_gq(args.gq).lines != gq.lines:
+            raise ValueError("quadrangle file does not match Q-(5,8) as "
+                             "built by build-gq --type gu513")
     else:
         if args.q is None:
             raise ValueError("--q is required for matrix-model groups")

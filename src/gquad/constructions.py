@@ -32,8 +32,8 @@ from .groups import (FiniteGroup, InvalidPermutationError, PermGroup,
 from .incidence import Quadrangle, build_from_form, build_w3, gq_isomorphic, \
     line_tuples, payne_derive
 from .linalg import (Mat, QuadraticForm, SemilinearMap, _check_vec,
-                     _code_weights, code_lookup, line_rows,
-                     mat_identity_mask, mat_mul_batch, normalise_point, rref)
+                     _code_weights, code_lookup, mat_identity_mask,
+                     mat_mul_batch, normalise_point, rref)
 
 __all__ = [
     "BASE_POINT",
@@ -419,6 +419,12 @@ def build_gu513() -> tuple[PermGroup, Quadrangle]:
     the 513 norm-one elements together with the Frobenius x -> x^4
     (order 9, semilinear over GF(8)) act regularly on the points.
 
+    The lines are found without a search over pairs of points: the 65
+    lines through point 0 come from its 520 collinear points, and every
+    line is the image of 9 of them under the group, which maps lines to
+    lines.  Of those 9 images the one kept is the one that sends point
+    0 to the line's least point, so each line is made once.
+
     Returns (group, quadrangle); group.gens[0] is the norm-one
     multiplier, group.gens[1] the Frobenius.
     """
@@ -446,23 +452,49 @@ def build_gu513() -> tuple[PermGroup, Quadrangle]:
     pts = np.unique(multiples_of(codes[is_singular & (codes > 0)])
                     .min(axis=1))
     n = int(pts.size)
-    multiples = multiples_of(pts)
-    look = code_lookup(multiples, k.q)
+    look = code_lookup(multiples_of(pts), k.q)
 
-    # for singular u, w the polarisation collapses to B(u,w) = Q(u+w),
-    # and addition of codes is xor, so collinearity is one table gather
-    def collinear(lo, hi):
-        return is_singular[pts[lo:hi, None] ^ pts[None, lo + 1:]]
+    # the pencil of point 0: for singular u, w the polarisation collapses
+    # to B(u,w) = Q(u+w), and addition of codes is xor; the line through
+    # 0 and a collinear j holds the points 0 + c*j, and it is kept for
+    # the j that is least of them
+    nbrs = 1 + np.flatnonzero(is_singular[pts[0] ^ pts[1:]])
+    others = look[pts[0] ^ multiples_of(pts[nbrs])]
+    if (others < 0).any():
+        raise AssertionError("a point of a singular line is not singular")
+    keep = nbrs < others.min(axis=1)
+    pencil = np.column_stack((np.zeros(keep.sum(), dtype=np.int64),
+                              nbrs[keep], others[keep]))
 
-    def span_codes(i, j):
-        return multiples[i, :1] ^ multiples[j]
+    # point_of_log[l] is the point of zeta^l for l in [0, 2(q-1)), so a
+    # sum of two reduced logs needs no reduction
+    point_of_log = look[exp].astype(np.int32)
+    point_of_log = np.concatenate((point_of_log, point_of_log))
 
-    rows = line_rows(look, multiples, span_codes, collinear)
+    # every group element is x -> zeta^(511a) x^(4^b), a < 513, b < 9, or
+    # on logs l -> 4^b l + 511a; both factors are GF(8)-semilinear and
+    # keep Q = 0, so they map lines to lines.  The group is regular, so
+    # each line is the image of 9 pencil lines, one for each of its
+    # points as the image of point 0: keep the image in which point 0
+    # lands on the line's least point
+    shifts = 511 * np.arange(513, dtype=np.int32)[:, None, None]
+    pencil_logs = log[pts[pencil]].astype(np.int32)
+    rows = []
+    for _ in range(9):
+        image = point_of_log[pencil_logs + shifts]
+        least = image.min(axis=2)
+        if (least < 0).any():
+            raise AssertionError("map does not preserve the point set")
+        rows.append(image[image[:, :, 0] == least])
+        pencil_logs = pencil_logs * 4 % q1
+    rows = np.sort(np.concatenate(rows), axis=1)
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
     gq = Quadrangle(n, line_tuples(rows, n), s=8, t=64,
                     labels=pts.tolist(), name="Q-(5,8) norm-trace model")
 
-    # the norm-one multiplier and the Frobenius, in one lookup
-    images = look[exp[np.stack([log[pts] + 511, log[pts] * 4]) % q1]]
+    # the norm-one multiplier and the Frobenius
+    logs = log[pts]
+    images = point_of_log[np.stack([logs + 511, logs * 4 % q1])]
     if (images < 0).any():
         raise AssertionError("map does not preserve the point set")
     return PermGroup(n, images), gq

@@ -74,6 +74,48 @@ def test_construct_group_and_check_regular(workdir, capsys):
     assert out.strip() == "regular: true"
 
 
+def test_build_gq_gu513_rejects_q(tmp_path, capsys):
+    # gu513 is always Q-(5,8); a --q would only mislabel the file
+    code, out, err = _run(capsys, "build-gq", "--type", "gu513", "--q", "5",
+                          "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ValueError: ")
+    assert "--q" in err
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("name", ["gu513", "extraspecial27-exp3",
+                                  "extraspecial27-exp9"])
+def test_construct_group_rejects_q_for_fixed_groups(tmp_path, capsys, name):
+    code, out, err = _run(capsys, "construct-group", "--name", name,
+                          "--q", "3", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ValueError: ")
+    assert "--q" in err
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_construct_group_gu513_checks_the_quadrangle_file(workdir, tmp_path,
+                                                         capsys):
+    grp = tmp_path / "gu513.grp"
+    code, out, err = _run(capsys, "construct-group", "--name", "gu513",
+                          "--gq", str(workdir / "w33.gq"), "--out", str(grp))
+    assert code == 1
+    assert err.startswith("error: ValueError: ")
+    assert "Q-(5,8)" in err
+    assert err.count("\n") == 1
+    assert not grp.exists()
+    qm = tmp_path / "gu513.gq"
+    assert run_cli(["build-gq", "--type", "gu513", "--out", str(qm)]) == 0
+    capsys.readouterr()
+    code, out, err = _run(capsys, "construct-group", "--name", "gu513",
+                          "--gq", str(qm), "--out", str(grp))
+    assert code == 0
+    assert out.strip() == f"wrote {grp}: degree 4617, order 4617"
+
+
 def test_group_roundtrip_preserves_fingerprint(workdir, capsys):
     grp = workdir / "P3.grp"
     assert run_cli(["construct-group", "--name", "P", "--q", "3",

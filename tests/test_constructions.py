@@ -536,6 +536,17 @@ def test_gu513_structure():
     assert is_normal(group, norm_part)
 
 
+def test_gu513_lines_are_closed_under_the_group():
+    # stated without reference to how the lines are found: the group
+    # permutes the lines, each point is on t+1 = 65 of them, none twice
+    group, gq = build_gu513()
+    assert line_action(gq, group).degree == 33345
+    mat = gq.line_matrix()
+    assert mat.shape == (33345, 9)
+    assert (np.bincount(mat.ravel(), minlength=4617) == 65).all()
+    assert len(set(gq.lines)) == gq.n_lines
+
+
 # -- the Sylow exponent check ------------------------------------------------
 
 def test_sylow_exponent():
