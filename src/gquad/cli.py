@@ -16,6 +16,8 @@ import sys
 import traceback
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .constructions import (
     action_from_linear,
     ambient_stabiliser,
@@ -202,7 +204,7 @@ def _canonical_w3_model(gq, cfg: RunConfig):
     if gq.s != gq.t:
         return None
     model = build_derived_model(_field_for(gq.s, cfg))
-    if model.ambient_gq.lines == gq.lines:
+    if np.array_equal(model.ambient_gq.line_matrix(), gq.line_matrix()):
         return model
     return None
 
@@ -241,7 +243,7 @@ def _derived_model_for(gq, cfg: RunConfig):
         raise ValueError("expected a derived quadrangle of order (q-1, q+1)")
     q = gq.s + 1
     model = build_derived_model(_field_for(q, cfg))
-    if model.gq.lines != gq.lines:
+    if not np.array_equal(model.gq.line_matrix(), gq.line_matrix()):
         raise ValueError("unrecognised derived quadrangle; rebuild it with "
                          "the payne subcommand for canonical labelling")
     return model
@@ -273,7 +275,8 @@ def _cmd_construct_group(args, cfg: RunConfig) -> int:
             "exp" + args.name.rsplit("exp", 1)[1], target)
     elif args.name == "gu513":
         group, gq = build_gu513()
-        if args.gq and load_gq(args.gq).lines != gq.lines:
+        if args.gq and not np.array_equal(load_gq(args.gq).line_matrix(),
+                                          gq.line_matrix()):
             raise ValueError("quadrangle file does not match Q-(5,8) as "
                              "built by build-gq --type gu513")
     else:
@@ -282,7 +285,8 @@ def _cmd_construct_group(args, cfg: RunConfig) -> int:
         model = build_derived_model(_field_for(args.q, cfg))
         if args.gq:
             loaded = load_gq(args.gq)
-            if loaded.lines != model.gq.lines:
+            if not np.array_equal(loaded.line_matrix(),
+                                  model.gq.line_matrix()):
                 raise ValueError("quadrangle file does not match the "
                                  "canonical derived model for this q")
         group = _group_action(args.name, model)

@@ -30,7 +30,7 @@ from .gf import GF
 from .groups import (FiniteGroup, InvalidPermutationError, PermGroup,
                      Permutation, TooLargeError, _extend_homomorphisms)
 from .incidence import Quadrangle, build_from_form, build_w3, gq_isomorphic, \
-    line_tuples, payne_derive
+    payne_derive
 from .linalg import (Mat, QuadraticForm, SemilinearMap, _check_vec,
                      _code_weights, code_lookup, mat_identity_mask,
                      mat_mul_batch, normalise_point, rref)
@@ -487,9 +487,7 @@ def build_gu513() -> tuple[PermGroup, Quadrangle]:
             raise AssertionError("map does not preserve the point set")
         rows.append(image[image[:, :, 0] == least])
         pencil_logs = pencil_logs * 4 % q1
-    rows = np.sort(np.concatenate(rows), axis=1)
-    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
-    gq = Quadrangle(n, line_tuples(rows, n), s=8, t=64,
+    gq = Quadrangle(n, np.concatenate(rows), s=8, t=64,
                     labels=pts.tolist(), name="Q-(5,8) norm-trace model")
 
     # the norm-one multiplier and the Frobenius

@@ -1,5 +1,6 @@
 """Tests for generalised-quadrangle construction and verification."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -66,6 +67,14 @@ def test_quadrangle_validation():
         Quadrangle(3, [(0, 3)])
     with pytest.raises(ValueError):
         Quadrangle(3, [(0, 1)], labels=("a",))
+    # lines of mixed sizes, and points that are no integers
+    with pytest.raises(ValueError):
+        Quadrangle(9, [(0, 1, 2), (3, 4), (6, 7, 8),
+                       (0, 3, 6), (1, 4, 7), (2, 5, 8)], s=2, t=1)
+    with pytest.raises(ValueError):
+        Quadrangle(2, np.array([[0.5, 1.0]]))
+    with pytest.raises(ValueError):
+        Quadrangle(2, np.array([[False, True]]))
 
 
 # -- verification ------------------------------------------------------------
@@ -79,10 +88,9 @@ def test_verify_valid():
 
 
 def test_verify_line_arity():
-    gq = Quadrangle(9, [(0, 1, 2), (3, 4), (6, 7, 8),
-                        (0, 3, 6), (1, 4, 7), (2, 5, 8)], s=2, t=1)
-    out = verify_gq(gq)
+    out = verify_gq(grid33(), s=3)
     assert len(out) == 1 and out[0].category == "line_arity"
+    assert out[0].witness == (0,)
     dup = Quadrangle(9, [(0, 1, 1), (3, 4, 5), (6, 7, 8),
                          (0, 3, 6), (1, 4, 7), (2, 5, 8)], s=2, t=1)
     out = verify_gq(dup)
@@ -521,6 +529,41 @@ def test_edges_give_the_neighbour_lists():
         assert [nb.tolist() for nb in gq.neighbors()] == want
 
 
+def pencils_oracle(gq: Quadrangle) -> list[list[int]]:
+    """The former per-line loop of ``pencils``."""
+    pens = [[] for _ in range(gq.n_points)]
+    for idx, line in enumerate(gq.lines):
+        for p in line:
+            pens[p].append(idx)
+    return pens
+
+
+def test_pencils_match_loop_oracle():
+    from gquad.constructions import build_derived_model
+    for gq in (grid33(), build_w3(GF.default(3)),
+               build_derived_model(GF.default(3)).gq,
+               build_qminus5(GF.default(2)), _pair_twice()):
+        assert [p.tolist() for p in gq.pencils()] == pencils_oracle(gq)
+
+
+def test_line_store_is_sorted_and_read_only():
+    q52 = build_qminus5(GF.default(2))
+    rng = np.random.default_rng(4)
+    rows = rng.permuted(q52.line_matrix()[rng.permutation(q52.n_lines)],
+                        axis=1)
+    again = Quadrangle(q52.n_points, rows, s=2, t=4)
+    got, want = again.line_matrix(), q52.line_matrix()
+    assert got.dtype == want.dtype == np.int32
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0, 0] = 1
+    # the store is a copy: already sorted rows of the caller stay writeable
+    rows = q52.line_matrix().copy()
+    Quadrangle(q52.n_points, rows, s=2, t=4)
+    assert rows.flags.writeable
+
+
 # -- files -------------------------------------------------------------------
 
 def test_gq_file_roundtrip(tmp_path):
@@ -574,3 +617,70 @@ def test_gq_file_errors_name_the_line(tmp_path, edit, line):
 def test_gq_file_allows_trailing_blank_lines(tmp_path):
     path = _edited_w32(tmp_path, lambda rows: rows + ["", ""])
     assert load_gq(path).n_lines == 15
+
+
+# sha256 of the .gq file and its .json sidecar written by save_gq,
+# recorded at commit f711dc7
+SAVED_GQ_SHA256 = {
+    "w3-2": (
+        "a011dbff31030dd7e3e27dd8300d952a73aa8f437a4c4ea6eb9f0dde9bd7b68e",
+        "92a977a229fcb55067c26dd657cfac3207f4dfa237943ca86a445c26f407c01f"),
+    "w3-3": (
+        "838543f35ebf2b2cef795afdf867b3377d62a9de4c5f8700be1aff62c1f07058",
+        "e9641005735f522e666f18e2b34fd67e2e5c247b3e68baab2ad64442cb05910d"),
+    "w3-4": (
+        "68eb41c74e64a391b698009449b1b5a9dbd3992deb896871b401facd186a522e",
+        "9b7bc9ef2c0a38139c334ff03671cbf75f8a3098cabff6fc08726037f199be70"),
+    "w3-5": (
+        "13efbd75ae2d1ebf6b7838652c24959059cd28c3e5ef2131eae663c8957cb7df",
+        "aa217b7e9fb9ed93c50bef0b23c040915754a3abf62a1188cfeaacb34c18a3da"),
+    "derived-3": (
+        "313e71fe0e6ff95fe0266b75ffdd9667236ca7720e96ac5b5956556347a40b20",
+        "8ba51d3a6e9bf08d31dd0a11872f10b89fd090a23829ed05473743e025469ed1"),
+    "derived-4": (
+        "1972f2bb9080cfaf49b1859c78e86b6f38a59d35b3cc8aaa1485d4eddaf993f4",
+        "39125115535f27898c8bd942c628369f9f2295745ef88c0d05d3f2b039d0360d"),
+    "derived-5": (
+        "dd8f3d5f301ea5d87bff7b89a59884b9f6d74f28f1b978b97149e2e65bf74389",
+        "66ea465cd0a8d718b999e6a706b8e46ee877200749f6ff535bbb3212ca95c1cb"),
+    "qminus5-2": (
+        "34dedc6739e4438c44b14cab4fa489f5c61f49574fca029a91c05e28a325c378",
+        "19d806f8e7801dd004b789afd8d276e3807004c673ca4781d602d28b358c72e3"),
+    "qminus5-3": (
+        "9537ef5429c776724ecf7ac8b9e23fcb7900c9404f7cfa291964c0f410c1f90d",
+        "5be58527c51d3ecc2dc3faf0fa0de621941d406d24766b643fc79852f8cdbdaf"),
+    "dual-w3-3": (
+        "df5c5720d3e8d23c608a6989abe53eb79633013d8d0f93850363f9cba3181db0",
+        "ebb66436ab4e7179983f41b6028f6ca5598068db08344534be850af330c289e4"),
+    "w3-4-at-7": (
+        "fcf0ae36072e63cae1350bfb921ad67d7e5e4a40ced9886ca02abe134cf60233",
+        "6916ca116825c00f61575dfd59e9eb5e9cf42ed8f9b9203067dab1ebe68bd291"),
+    "gu513": (
+        "83c6350e9d2d933f8df76a704c4f0addcebbdf01af1f78df18b487ee49990853",
+        "b46d0ad7b4bfc74e65183cea8b324077569676ee75857863e19b492979e001db"),
+}
+
+
+def _pinned_quadrangles():
+    from gquad.constructions import build_derived_model, build_gu513
+    for q in (2, 3, 4, 5):
+        yield f"w3-{q}", build_w3(GF.default(q))
+    for q in (3, 4, 5):
+        yield f"derived-{q}", build_derived_model(GF.default(q)).gq
+    for q in (2, 3):
+        yield f"qminus5-{q}", build_qminus5(GF.default(q))
+    yield "dual-w3-3", dual(build_w3(GF.default(3)))
+    yield "w3-4-at-7", payne_derive(build_w3(GF.default(4)), 7)
+    yield "gu513", build_gu513()[1]
+
+
+def test_saved_quadrangle_files_match_pinned_bytes(tmp_path):
+    seen = []
+    for name, gq in _pinned_quadrangles():
+        path = tmp_path / f"{name}.gq"
+        save_gq(path, gq)
+        got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in (path, tmp_path / f"{name}.gq.json"))
+        assert got == SAVED_GQ_SHA256[name], f"{name} file bytes changed"
+        seen.append(name)
+    assert seen == list(SAVED_GQ_SHA256)
