@@ -323,7 +323,9 @@ def _cmd_iso(args, cfg: RunConfig) -> int:
 def _ambient_for(model, q: int):
     # small q: the derived quadrangle is small enough for the full
     # automorphism group (and at q <= 4 genuinely larger than the
-    # inherited stabiliser); beyond that the stabiliser is the whole group
+    # inherited stabiliser); beyond that the stabiliser ambient, which
+    # at odd q lacks a similitude and so has index 2 in the automorphism
+    # group, e.g. 30000 against 60000 at q = 5 (ROADMAP item 1)
     if q in (3, 4):
         return aut_incidence(model.gq)
     return ambient_stabiliser(model.field, model.gq)

@@ -32,7 +32,7 @@ from .groups import (FiniteGroup, InvalidPermutationError, PermGroup,
 from .incidence import Quadrangle, build_from_form, build_w3, gq_isomorphic, \
     payne_derive
 from .linalg import (Mat, QuadraticForm, SemilinearMap, _check_vec,
-                     _code_weights, code_lookup, mat_identity_mask,
+                     _code_weights, _flat_tables, code_lookup,
                      mat_mul_batch, normalise_point, rref)
 
 __all__ = [
@@ -270,12 +270,15 @@ def action_from_linear(field: GF, maps: Sequence, gq: Quadrangle,
 
 
 def ambient_stabiliser_gens(field: GF) -> list:
-    """Generators of the base-point stabiliser in PGammaSp(4,q).
+    """Generators of a subgroup of the base-point stabiliser in
+    PGammaSp(4,q): all of it at even q, index 2 at odd q.
 
     Root elations, the unipotents of a Levi SL(2) acting on the middle
     two coordinates, a torus element, and the Frobenius map when the
-    field is not prime.  Feed these to action_from_linear on W(3,q) or
-    on the derived quadrangle.
+    field is not prime.  No similitude is among them, which at odd q
+    leaves out half the stabiliser (order 30000 against 60000 at q = 5;
+    ROADMAP item 1).  Feed these to action_from_linear on W(3,q) or on
+    the derived quadrangle.
     """
     k = field
     gens: list = list(elation_gens(k))
@@ -667,51 +670,82 @@ def verify_shear_power_formula(field: GF, n_max: int | None = None,
 _SYLOW_CHUNK = 1 << 16
 
 
+def _unitriangular_coords(field: GF, lo: int, hi: int) -> np.ndarray:
+    """Coordinates (6, hi - lo) of the unitriangular matrices lo..hi-1,
+    in the index dtype of ``_flat_tables``: matrix number idx holds the
+    base-q digits of idx at (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)."""
+    idx = np.arange(lo, hi, dtype=np.uint32)
+    out = np.empty((6, hi - lo), dtype=_flat_tables(field)[0])
+    for pos in range(6):
+        idx, out[pos] = np.divmod(idx, field.q)
+    return out
+
+
+def _unitriangular_mul(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of unitriangular matrices given by their coordinates, as
+    ``_unitriangular_coords`` orders them, of shape (6, ...).
+
+    The group law read off the matrix product: four gathers from the
+    flat multiplication table, and additions by xor in characteristic 2,
+    else by gathers from the flat addition table.
+    """
+    q = field.q
+    _, mul, add = _flat_tables(field)
+
+    def plus(x, *ys):
+        for y in ys:
+            x = x ^ y if add is None else add.take(x * q + y)
+        return x
+
+    def times(x, y):
+        return mul.take(x * q + y)
+
+    a01, a02, a03, a12, a13, a23 = a
+    b01, b02, b03, b12, b13, b23 = b
+    return np.stack([
+        plus(a01, b01),
+        plus(a02, b02, times(a01, b12)),
+        plus(a03, b03, times(a01, b13), times(a02, b23)),
+        plus(a12, b12),
+        plus(a13, b13, times(a12, b23)),
+        plus(a23, b23)])
+
+
+def _unitriangular_pow(field: GF, x: np.ndarray, e: int) -> np.ndarray:
+    """The e-th powers (e >= 1) of unitriangular coordinates (6, ...)."""
+    out = None
+    while e:
+        if e & 1:
+            out = x if out is None else _unitriangular_mul(field, out, x)
+        e >>= 1
+        if e:
+            x = _unitriangular_mul(field, x, x)
+    return out
+
+
 def sylow_exponent(field: GF) -> int:
     """Exponent of the unitriangular subgroup of GL(4,q), by powering.
 
     That subgroup is a Sylow p-subgroup of GL(4,q).  All q^6 of its
     elements are raised to the p-th (and if needed p^2-th) power in
-    chunks of ``_SYLOW_CHUNK``, each built batch-last as ``mat_mul_batch``
-    works, so no squaring pays a transposing copy; the answer is p^2 in
-    characteristic 2 and 3, p beyond.
+    chunks of ``_SYLOW_CHUNK``, each kept as the six above-diagonal
+    coordinates of its matrices and multiplied by the group law on
+    them; the identity is the element whose coordinates are all 0.  The
+    answer is p^2 in characteristic 2 and 3, p beyond.
     """
     q, p = field.q, field.p
     if q > 9:
         raise TooLargeError(f"q^6 matrices get too big for q = {q}")
     count = q ** 6
-
-    def unitriangular(lo):
-        # the matrices lo, lo+1, ... of the chunk: above the diagonal,
-        # matrix number idx holds the base-q digits of idx
-        idx = np.arange(lo, min(lo + _SYLOW_CHUNK, count))
-        mats = np.zeros((4, 4, idx.size), dtype=np.uint8)
-        for d in range(4):
-            mats[d, d] = 1
-        for pos, (i, j) in enumerate([(0, 1), (0, 2), (0, 3),
-                                      (1, 2), (1, 3), (2, 3)]):
-            mats[i, j] = (idx // q ** pos) % q
-        return np.moveaxis(mats, -1, 0)
-
-    def stack_pow(stack, e):
-        out = None
-        base = stack
-        while e:
-            if e & 1:
-                out = base if out is None else \
-                    mat_mul_batch(field, out, base)
-            e >>= 1
-            if e:
-                base = mat_mul_batch(field, base, base)
-        return out
-
     all_p = True
     all_p2 = True
     for lo in range(0, count, _SYLOW_CHUNK):
-        pw = stack_pow(unitriangular(lo), p)
-        if not mat_identity_mask(pw).all():
+        coords = _unitriangular_coords(field, lo,
+                                       min(lo + _SYLOW_CHUNK, count))
+        pw = _unitriangular_pow(field, coords, p)
+        if pw.any():
             all_p = False
-            if not mat_identity_mask(stack_pow(pw, p)).all():
+            if _unitriangular_pow(field, pw, p).any():
                 all_p2 = False
     if all_p:
         return p

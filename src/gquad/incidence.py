@@ -172,8 +172,9 @@ class Quadrangle:
         """Sorted array of points collinear with each point (excluded)."""
         if self._neighbors is None:
             src, dst = self.edges()
-            counts = np.bincount(src, minlength=self.n_points)
-            self._neighbors = np.split(dst, np.cumsum(counts)[:-1])
+            # src ascends: one binary search per point finds its run's end
+            self._neighbors = _runs(dst, np.searchsorted(
+                src, np.arange(1, self.n_points + 1, dtype=src.dtype)))
         return self._neighbors
 
     def pencils(self) -> list[np.ndarray]:
@@ -183,10 +184,8 @@ class Quadrangle:
             narrow = np.min_scalar_type(self.n_points - 1)
             flat = self._lines.ravel().astype(narrow)
             line_of = np.argsort(flat, kind="stable") // self._lines.shape[1]
-            # slices by hand: np.split costs 4 ms on Q-(5,8)'s 4617 pencils
-            ends = np.cumsum(np.bincount(flat, minlength=self.n_points))
-            bounds = zip([0, *ends[:-1].tolist()], ends.tolist())
-            self._pencils = [line_of[a:b] for a, b in bounds]
+            self._pencils = _runs(line_of, np.cumsum(np.bincount(
+                flat, minlength=self.n_points)))
         return self._pencils
 
     def collinear(self, a: int, b: int) -> bool:
@@ -199,6 +198,13 @@ class Quadrangle:
     def __repr__(self):
         return (f"Quadrangle({self.name}: {self.n_points} points, "
                 f"{self.n_lines} lines)")
+
+
+def _runs(values: np.ndarray, ends: np.ndarray) -> list[np.ndarray]:
+    """values cut into consecutive runs ending at ``ends``, as views.
+    Sliced by hand: np.split costs 4 ms on Q-(5,8)'s 4617 runs."""
+    ends = ends.tolist()
+    return [values[a:b] for a, b in zip([0, *ends[:-1]], ends)]
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -307,7 +313,9 @@ def verify_gq(gq: Quadrangle, s: int | None = None,
 
     # axiom: a point off a line sees exactly one of its points, and each
     # point of the line sees the other s
-    nb = np.stack(gq.neighbors())  # (n, s*(t+1)), valid after the above
+    # after the checks above each point has s*(t+1) distinct neighbours,
+    # so the sorted edge targets are the (n, s*(t+1)) neighbour block
+    nb = gq.edges()[1].reshape(n, s * (t + 1))
     n_lines = gq.n_lines
     worst = None  # least witness, coded as point * n_lines + line
     chunk = max(1, _AXIOM_CELLS // max(n, k * nb.shape[1]))

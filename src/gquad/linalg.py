@@ -42,7 +42,6 @@ __all__ = [
     "code_lookup",
     "sp4_membership",
     "mat_mul_batch",
-    "mat_identity_mask",
 ]
 
 
@@ -705,6 +704,19 @@ def enumerate_singular(form, dim: int) -> list[Subspace]:
 # batched matrix algebra on stacks of code matrices
 # ---------------------------------------------------------------------------
 
+def _flat_tables(field: GF) -> tuple:
+    """(index, mul, add): the field's tables flattened for gathers at
+    a*q + b, in the narrowest unsigned dtype ``index`` that holds
+    q^2 - 1: uint8 up to q = 16, uint16 up to 256, else uint32.  add is
+    None in characteristic 2, where xor adds codes."""
+    q = field.q
+    index = np.uint8 if q <= 16 else np.uint16 if q <= 256 else np.uint32
+    mul = field.mul_table.astype(index, copy=False).ravel()
+    add = (None if field.p == 2
+           else field.add_table.astype(index, copy=False).ravel())
+    return index, mul, add
+
+
 def mat_mul_batch(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise-GF product of stacks of matrices.
 
@@ -715,8 +727,7 @@ def mat_mul_batch(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     tables, so q <= 1024.
 
     Each operand is copied once, batch-last (matrix axes first, batch
-    axes last, contiguous), in the narrowest unsigned dtype that holds
-    q^2 - 1: uint8 up to q = 16, uint16 up to 256, else uint32.  Each
+    axes last, contiguous), in the index dtype of ``_flat_tables``.  Each
     inner term t is then one gather from the flattened multiplication
     table at a[t]*q + b[t] over the whole batch, added by xor in
     characteristic 2, else by one gather from the flattened addition
@@ -726,10 +737,7 @@ def mat_mul_batch(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     copied into another layout.
     """
     q = field.q
-    index = np.uint8 if q <= 16 else np.uint16 if q <= 256 else np.uint32
-    mul = field.mul_table.astype(index, copy=False).ravel()
-    add = (None if field.p == 2
-           else field.add_table.astype(index, copy=False).ravel())
+    index, mul, add = _flat_tables(field)
     a, b = np.asarray(a), np.asarray(b)
     for x in (a, b):
         if x.dtype.kind not in "biu":
@@ -756,12 +764,3 @@ def mat_mul_batch(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         else:
             acc = add.take(acc * q + term)
     return acc.astype(np.int64).transpose(*range(2, nd), 0, 1)
-
-
-def mat_identity_mask(a: np.ndarray) -> np.ndarray:
-    """Boolean mask over a stack (..., n, n): which entries equal I."""
-    n = a.shape[-1]
-    eye = np.zeros((n, n), dtype=a.dtype)
-    for i in range(n):
-        eye[i, i] = 1
-    return (a == eye).all(axis=(-1, -2))

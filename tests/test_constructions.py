@@ -51,7 +51,7 @@ from gquad.groups import (
     is_regular,
 )
 from gquad.incidence import Quadrangle, build_qminus5, line_action, verify_gq
-from gquad.linalg import Mat, SemilinearMap, normalise_point
+from gquad.linalg import Mat, SemilinearMap, mat_mul_batch, normalise_point
 
 
 # -- matrix identities -------------------------------------------------------
@@ -593,3 +593,81 @@ def test_sylow_exponent_with_chunks_that_do_not_divide_q6(monkeypatch, q,
 def test_sylow_exponent_guard():
     with pytest.raises(TooLargeError):
         sylow_exponent(GF.default(25))
+
+
+# The former sylow_exponent kernel, kept as the oracle of the coordinate
+# group law: whole 4 x 4 code matrices powered by mat_mul_batch products.
+
+_ABOVE_DIAGONAL = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def mat_identity_mask(a):
+    """Boolean mask over a stack (..., n, n): which entries equal I."""
+    n = a.shape[-1]
+    eye = np.zeros((n, n), dtype=a.dtype)
+    for i in range(n):
+        eye[i, i] = 1
+    return (a == eye).all(axis=(-1, -2))
+
+
+def _unitriangular_stack(coords):
+    """The 4 x 4 matrices (m, 4, 4) with coordinates (6, m), built
+    batch-last as mat_mul_batch works."""
+    mats = np.zeros((4, 4, coords.shape[1]), dtype=np.uint8)
+    for d in range(4):
+        mats[d, d] = 1
+    for pos, (i, j) in enumerate(_ABOVE_DIAGONAL):
+        mats[i, j] = coords[pos]
+    return np.moveaxis(mats, -1, 0)
+
+
+def unitriangular_power_oracle(field, e):
+    """The e-th powers (e >= 1) of all q^6 unitriangular matrices, matrix
+    number idx holding the base-q digits of idx above the diagonal."""
+    q = field.q
+    idx = np.arange(q ** 6)
+    base = _unitriangular_stack(
+        np.stack([(idx // q ** pos) % q for pos in range(6)]))
+    out = None
+    while e:
+        if e & 1:
+            out = base if out is None else mat_mul_batch(field, out, base)
+        e >>= 1
+        if e:
+            base = mat_mul_batch(field, base, base)
+    return out
+
+
+def test_mat_identity_mask():
+    k = GF.default(5)
+    eye = Mat.identity(k, 4).to_array()
+    stack = np.stack([eye, elation_matrix(k, 1, 0, 0).to_array()])
+    assert list(mat_identity_mask(stack)) == [True, False]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_unitriangular_powers_match_oracle(q):
+    # every element's p-th and p^2-th power, coordinate by coordinate
+    k = GF.default(q)
+    p = k.p
+    coords = cons._unitriangular_coords(k, 0, q ** 6)
+    assert coords.dtype == np.uint8
+    assert (_unitriangular_stack(coords)
+            == unitriangular_power_oracle(k, 1)).all()
+    for e in (p, p * p):
+        got = cons._unitriangular_pow(k, coords, e)
+        want = unitriangular_power_oracle(k, e)
+        assert (want == _unitriangular_stack(got)).all(), e
+        # the identity test on coordinates is the oracle's on matrices
+        assert (mat_identity_mask(want) == ~got.any(axis=0)).all(), e
+
+
+@pytest.mark.parametrize("q", [8, 9])
+def test_unitriangular_group_law_matches_matrix_products(q):
+    # xor additions at q = 8, addition-table gathers at q = 9
+    k = GF.default(q)
+    rng = np.random.default_rng(q)
+    a, b = rng.integers(0, q, size=(2, 6, 2000), dtype=np.uint8)
+    got = cons._unitriangular_mul(k, a, b)
+    want = mat_mul_batch(k, _unitriangular_stack(a), _unitriangular_stack(b))
+    assert (want == _unitriangular_stack(got)).all()

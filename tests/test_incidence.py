@@ -519,8 +519,10 @@ def test_aut_generators_match_dense_oracle_search(q, monkeypatch):
 
 
 def test_edges_give_the_neighbour_lists():
+    # the last: points 1 and 4 on no line, so their runs are empty
     for gq in (grid33(), build_w3(GF.default(3)),
-               Quadrangle(4, [(0, 1, 2), (0, 1, 3)])):
+               Quadrangle(4, [(0, 1, 2), (0, 1, 3)]),
+               Quadrangle(6, [(0, 2, 3), (0, 2, 5)])):
         src, dst = gq.edges()
         codes = src.astype(np.int64) * gq.n_points + dst
         assert np.array_equal(codes, np.unique(codes))
@@ -542,7 +544,8 @@ def test_pencils_match_loop_oracle():
     from gquad.constructions import build_derived_model
     for gq in (grid33(), build_w3(GF.default(3)),
                build_derived_model(GF.default(3)).gq,
-               build_qminus5(GF.default(2)), _pair_twice()):
+               build_qminus5(GF.default(2)), _pair_twice(),
+               Quadrangle(6, [(0, 2, 3), (0, 2, 5)])):
         assert [p.tolist() for p in gq.pencils()] == pencils_oracle(gq)
 
 

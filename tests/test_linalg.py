@@ -13,7 +13,6 @@ from gquad.linalg import (
     SemilinearMap,
     Subspace,
     enumerate_singular,
-    mat_identity_mask,
     mat_mul_batch,
     normalise_point,
     projective_points,
@@ -128,9 +127,6 @@ def test_batch_product_matches_single():
         for i in range(6):
             want = (mats_a[i] * mats_b[i]).to_array()
             assert (got[i] == want).all()
-        eye = Mat.identity(k, 4).to_array()
-        stack = np.stack([eye, mats_a[0].to_array()])
-        assert list(mat_identity_mask(stack)) == [True, False]
 
 
 def mat_mul_batch_oracle(field, a, b):
