@@ -422,80 +422,74 @@ def build_gu513() -> tuple[PermGroup, Quadrangle]:
     the 513 norm-one elements together with the Frobenius x -> x^4
     (order 9, semilinear over GF(8)) act regularly on the points.
 
+    A point is the residue mod m = 37449 of the logs of its vectors to
+    the primitive zeta, as GF(8)* = <zeta^m>; its label is the least
+    code of its scalar orbit.  Q(zeta^l) = Tr(zeta^(513 l)) depends on
+    l mod 511 only, so one table of 511 traces finds the singular ones.
+
     The lines are found without a search over pairs of points: the 65
     lines through point 0 come from its 520 collinear points, and every
     line is the image of 9 of them under the group, which maps lines to
-    lines.  Of those 9 images the one kept is the one that sends point
-    0 to the line's least point, so each line is made once.
+    lines and acts on residues: the multiplier adds 511, the Frobenius
+    multiplies by 4.  Of those 9 images the one kept is the one that
+    sends point 0 to the line's least point, so each line is made once.
 
     Returns (group, quadrangle); group.gens[0] is the norm-one
     multiplier, group.gens[1] the Frobenius.
     """
     k = GF(p=2, f=18)
     q1 = k.q - 1                       # 262143 = 513 * 511
+    m = q1 // 7                        # 37449 = 513 * 73
     exp, log = k.exp_log_char2()
 
-    def pow_all(v, n):
-        out = exp[(log[v] * n) % q1]
-        return np.where(v == 0, 0, out)
-
-    codes = np.arange(k.q, dtype=np.int64)
-    norm = pow_all(codes, 513)                       # lies in GF(512)
-    qval = norm ^ pow_all(norm, 8) ^ pow_all(norm, 64)   # trace to GF(8)
-    is_singular = qval == 0
-
-    # GF(8)* is generated by zeta^step; the projective representative
-    # of a vector is the least code in its scalar orbit
-    step = q1 // 7
-    scalars = step * np.arange(7)
-
-    def multiples_of(v):
-        return exp[(log[v][:, None] + scalars) % q1]
-
-    pts = np.unique(multiples_of(codes[is_singular & (codes > 0)])
-                    .min(axis=1))
-    n = int(pts.size)
-    look = code_lookup(multiples_of(pts), k.q)
+    # zeta^(513 i) for i < 511 is GF(512)*; add its conjugates over GF(8)
+    trace = np.bitwise_xor.reduce(
+        exp[np.outer((1, 8, 64), 513 * np.arange(511)) % q1])
+    label = exp.reshape(7, m).min(axis=0)    # least code of each residue
+    res = np.flatnonzero(trace[np.arange(m) % 511] == 0)
+    res = res[np.argsort(label[res])]              # numbered by label
+    pts, n = label[res], len(res)
+    # two periods: a residue plus a shift below m needs no reduction
+    point_of_res = np.full(2 * m, -1, dtype=np.int32)
+    point_of_res[res] = point_of_res[res + m] = np.arange(n)
 
     # the pencil of point 0: for singular u, w the polarisation collapses
     # to B(u,w) = Q(u+w), and addition of codes is xor; the line through
     # 0 and a collinear j holds the points 0 + c*j, and it is kept for
     # the j that is least of them
-    nbrs = 1 + np.flatnonzero(is_singular[pts[0] ^ pts[1:]])
-    others = look[pts[0] ^ multiples_of(pts[nbrs])]
+    nbrs = 1 + np.flatnonzero(trace[log[pts[0] ^ pts[1:]] % 511] == 0)
+    sums = pts[0] ^ exp[(log[pts[nbrs]][:, None] + m * np.arange(7)) % q1]
+    others = point_of_res[log[sums] % m]
     if (others < 0).any():
         raise AssertionError("a point of a singular line is not singular")
     keep = nbrs < others.min(axis=1)
-    pencil = np.column_stack((np.zeros(keep.sum(), dtype=np.int64),
-                              nbrs[keep], others[keep]))
-
-    # point_of_log[l] is the point of zeta^l for l in [0, 2(q-1)), so a
-    # sum of two reduced logs needs no reduction
-    point_of_log = look[exp].astype(np.int32)
-    point_of_log = np.concatenate((point_of_log, point_of_log))
+    # as C-ordered (9, 65) residues: the gathers below take twice as
+    # long on a transposed view
+    pencil = np.ascontiguousarray(res[np.column_stack((
+        np.zeros_like(nbrs[keep]), nbrs[keep], others[keep]))].T)
 
     # every group element is x -> zeta^(511a) x^(4^b), a < 513, b < 9, or
-    # on logs l -> 4^b l + 511a; both factors are GF(8)-semilinear and
+    # on residues r -> 4^b r + 511a; both are GF(8)-semilinear and
     # keep Q = 0, so they map lines to lines.  The group is regular, so
     # each line is the image of 9 pencil lines, one for each of its
     # points as the image of point 0: keep the image in which point 0
     # lands on the line's least point
-    shifts = 511 * np.arange(513, dtype=np.int32)[:, None, None]
-    pencil_logs = log[pts[pencil]].astype(np.int32)
+    shifts = (511 * np.arange(513) % m)[:, None]
     rows = []
     for _ in range(9):
-        image = point_of_log[pencil_logs + shifts]
-        least = image.min(axis=2)
-        if (least < 0).any():
+        image = point_of_res[pencil[:, None] + shifts]     # (9, 513, 65)
+        if (image < 0).any():
             raise AssertionError("map does not preserve the point set")
-        rows.append(image[image[:, :, 0] == least])
-        pencil_logs = pencil_logs * 4 % q1
-    gq = Quadrangle(n, np.concatenate(rows), s=8, t=64,
-                    labels=pts.tolist(), name="Q-(5,8) norm-trace model")
+        rows.append(image[:, image[0] < image[1:].min(axis=0)].T)
+        pencil = pencil * 4 % m
+    lines = np.sort(np.concatenate(rows), axis=1)
+    # two lines share at most one point, so their first two order them
+    lines = lines[np.argsort(lines[:, 0] * n + lines[:, 1])]
+    gq = Quadrangle(n, lines, s=8, t=64, labels=pts.tolist(),
+                    name="Q-(5,8) norm-trace model")
 
     # the norm-one multiplier and the Frobenius
-    logs = log[pts]
-    images = point_of_log[np.stack([logs + 511, logs * 4 % q1])]
+    images = point_of_res[np.stack([res + 511, res * 4 % m])]
     if (images < 0).any():
         raise AssertionError("map does not preserve the point set")
     return PermGroup(n, images), gq

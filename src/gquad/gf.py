@@ -438,7 +438,8 @@ class GF:
         and log[0] is 0.  Bit i of a code is the coefficient of x^i, so
         carry-less multiplication works on codes directly; past its
         first block the table is filled by doubling,
-        exp[k:2k] = exp[:k] * g^k.
+        exp[k:2k] = exp[:k] * g^k, where a * g^k is GF(2)-linear in a: the
+        xor of two table gathers, at the low f//2 bits and the high bits.
         """
         if self.p != 2 or self.q == 2:
             raise ValueError("needs characteristic 2 and q > 2")
@@ -470,16 +471,20 @@ class GF:
         primes = _factorise(order)
         gen = next(c for c in range(2, q)
                    if all(pow_int(c, order // r) != 1 for r in primes))
-        # one power at a time up to 128 entries, so that every array is
+        # one power at a time up to 128 entries, so that every block is
         # at least 1 KB: numpy caches freed smaller buffers, and a cached
         # buffer left inside the heap keeps the memory around it
         exp = np.ones(order, dtype=np.int64)
         k = min(order, 128)
         for i in range(1, k):
             exp[i] = mul_int(int(exp[i - 1]), gen)
+        half = f // 2
+        low, high = np.arange(1 << half), np.arange(0, q, 1 << half)
         while k < order:
             top = min(2 * k, order)
-            exp[k:top] = mul_int(exp[:top - k], pow_int(gen, k))
+            c, block = pow_int(gen, k), exp[:top - k]
+            exp[k:top] = (mul_int(low, c)[block & low[-1]]
+                          ^ mul_int(high, c)[block >> half])
             k = top
         assert mul_int(int(exp[-1]), gen) == 1
         log = np.zeros(q, dtype=np.int64)

@@ -536,6 +536,31 @@ def test_gu513_structure():
     assert is_normal(group, norm_part)
 
 
+def test_gu513_generators_are_the_field_maps_on_labels():
+    # stated with the field's scalar mul and pow on the labels, not with
+    # the log residues the builder works on: a point's label is the least
+    # code of its GF(8)* multiples, gens[0] multiplies by zeta^511 and
+    # gens[1] raises to the 4th power
+    group, gq = build_gu513()
+    k = GF(p=2, f=18)
+    zeta = k.primitive()
+    scalars = [k.pow(zeta, (k.q - 1) // 7 * j) for j in range(7)]
+    assert len(set(scalars)) == 7
+    assert all(k.pow(c, 8) == c for c in scalars)
+
+    def point(v):
+        return gq.point_id(min(k.mul(c, v) for c in scalars))
+
+    mult, frob = group.gens
+    shift = k.pow(zeta, 511)
+    rng = np.random.default_rng(0)
+    for i in rng.choice(gq.n_points, size=400, replace=False).tolist():
+        label = gq.labels[i]
+        assert point(label) == i
+        assert mult.apply(i) == point(k.mul(shift, label))
+        assert frob.apply(i) == point(k.pow(label, 4))
+
+
 def test_gu513_lines_are_closed_under_the_group():
     # stated without reference to how the lines are found: the group
     # permutes the lines, each point is on t+1 = 65 of them, none twice
