@@ -29,7 +29,7 @@ from .groups import PermGroup, Permutation, TooLargeError
 from .linalg import (
     AlternatingForm,
     QuadraticForm,
-    _singular_points,
+    enumerate_singular,
     singular_line_rows,
 )
 from .textfile import read_int_file
@@ -227,7 +227,7 @@ def build_from_form(field: GF, form, s: int, t: int,
     integer code, and the collinear pairs are found a chunk of points at
     a time, so no line is built as a subspace.
     """
-    points = _singular_points(form)
+    points = [sub.basis[0] for sub in enumerate_singular(form, 1)]
     return Quadrangle(len(points), singular_line_rows(form, points), s=s,
                       t=t, labels=points, name=name)
 
