@@ -472,10 +472,9 @@ class GF:
         gen = next(c for c in range(2, q)
                    if all(pow_int(c, order // r) != 1 for r in primes))
         # one power at a time up to 128 entries, so that every block is
-        # at least 1 KB: numpy caches freed smaller buffers, and a cached
-        # buffer left inside the heap keeps the memory around it.  The
-        # product tables of the doubling below have 2^(f//2) entries or
-        # more, so they are as large from f = 14 on only
+        # at least 1 KB (and from f = 14 on the product tables below):
+        # numpy caches freed smaller buffers, and a cached buffer left
+        # inside the heap keeps the memory around it
         exp = np.ones(order, dtype=np.int64)
         k = min(order, 128)
         for i in range(1, k):
