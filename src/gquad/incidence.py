@@ -6,13 +6,16 @@ have equal arrays and ``Quadrangle.line_index`` finds the line of any
 row of points by one binary search.  A Quadrangle may carry labels (for
 the classical models, normalised projective coordinate tuples), which
 is how matrix actions get transported onto point permutations.
+``Quadrangle.collinearity`` packs each point's closed neighbourhood into
+one bit row; verification, perps and derivation read those rows.
 
 The two classical models here are the symplectic quadrangle (all points
 of PG(3,q), totally isotropic lines, order (q,q)) and the elliptic
-quadric in PG(5,q) (order (q,q^2)).  Derivation at a regular point x
-follows Payne: keep the points not collinear with x, trim old lines,
-and add the perp-perp spans through x as new lines, giving order
-(s-1, s+1).
+quadric in PG(5,q) (order (q,q^2)), each with its lines from one
+pencil per point (``linalg.singular_line_rows``).  Derivation at a
+regular point x follows Payne: keep the points not collinear with x,
+trim old lines, and add the perp-perp spans through x as new lines,
+giving order (s-1, s+1); the spans are ANDs of bit rows over traces.
 """
 
 from __future__ import annotations
@@ -109,7 +112,6 @@ class Quadrangle:
         self.labels = labels
         self._label_index = None
         self._edges = None
-        self._neighbors = None
         self._pencils = None
 
     @cached_property
@@ -168,15 +170,6 @@ class Quadrangle:
             self._edges = src.astype(mat.dtype), dst.astype(mat.dtype)
         return self._edges
 
-    def neighbors(self) -> list[np.ndarray]:
-        """Sorted array of points collinear with each point (excluded)."""
-        if self._neighbors is None:
-            src, dst = self.edges()
-            # src ascends: one binary search per point finds its run's end
-            self._neighbors = _runs(dst, np.searchsorted(
-                src, np.arange(1, self.n_points + 1, dtype=src.dtype)))
-        return self._neighbors
-
     def pencils(self) -> list[np.ndarray]:
         """Line indices through each point, ascending."""
         if self._pencils is None:
@@ -188,16 +181,56 @@ class Quadrangle:
                 flat, minlength=self.n_points)))
         return self._pencils
 
+    def collinearity(self, points=None) -> np.ndarray:
+        """Packed closed neighbourhoods, one row per point of ``points``
+        (every point when None): ceil(n/8) uint8 bytes in which bit z, in
+        ``np.packbits`` order, is set when z is the row's point or shares
+        a line with it; the pad bits are 0.  Built a chunk of rows at a
+        time from the pencils, with no (rows x points) bool block past
+        ``_ROW_CELLS`` cells."""
+        n = self.n_points
+        points = (np.arange(n) if points is None
+                  else np.asarray(points, dtype=np.intp).reshape(-1))
+        pens = self.pencils()
+        out = np.empty((len(points), (n + 7) // 8), dtype=np.uint8)
+        step = max(1, _ROW_CELLS // max(1, n))
+        for lo in range(0, len(points), step):
+            pts = points[lo:lo + step]
+            runs = [pens[p] for p in pts.tolist()]
+            owner = np.repeat(np.arange(len(pts)), list(map(len, runs)))
+            block = np.zeros((len(pts), n), dtype=bool)
+            block[owner[:, None], self._lines[np.concatenate(runs)]] = True
+            block[np.arange(len(pts)), pts] = True
+            out[lo:lo + step] = np.packbits(block, axis=1)
+        return out
+
     def collinear(self, a: int, b: int) -> bool:
-        if a == b:
-            return False
-        nb = self.neighbors()[a]
-        i = np.searchsorted(nb, b)
-        return i < nb.size and nb[i] == b
+        row = self.collinearity([a])[0]
+        return a != b and bool(row[b >> 3] >> (7 - b % 8) & 1)
 
     def __repr__(self):
         return (f"Quadrangle({self.name}: {self.n_points} points, "
                 f"{self.n_lines} lines)")
+
+
+# a chunk of ``Quadrangle.collinearity`` rows is packed from a (rows x
+# points) bool block of about this many cells
+_ROW_CELLS = 1 << 20
+
+
+def _members(row: np.ndarray, n: int) -> np.ndarray:
+    """The points whose bits are set in one packed row, ascending."""
+    return np.flatnonzero(np.unpackbits(row, count=n))
+
+
+def _popcount(rows: np.ndarray) -> np.ndarray:
+    """The number of set bits in each packed row, about ``_ROW_CELLS``
+    bytes at a time."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    bits = bits.sum(axis=1, dtype=np.uint8)
+    step = max(1, _ROW_CELLS // max(1, rows.shape[1]))
+    return np.concatenate([bits[rows[lo:lo + step]].sum(axis=1)
+                           for lo in range(0, len(rows), step)])
 
 
 def _runs(values: np.ndarray, ends: np.ndarray) -> list[np.ndarray]:
@@ -223,9 +256,10 @@ def build_from_form(field: GF, form, s: int, t: int,
 
     The points are the normalised singular vectors in ascending order,
     numbered in that order and kept as labels.  The lines are the rows
-    of ``linalg.singular_line_rows``: each vector is looked up by its
-    integer code, and the collinear pairs are found a chunk of points at
-    a time, so no line is built as a subspace.
+    of ``linalg.singular_line_rows``: the pencil of each point comes
+    from the singular points of a complement of it in its perp, every
+    vector is looked up by its integer code, and no line is built as a
+    subspace nor any pair of points tested.
     """
     points = [sub.basis[0] for sub in enumerate_singular(form, 1)]
     return Quadrangle(len(points), singular_line_rows(form, points), s=s,
@@ -250,8 +284,8 @@ def build_qminus5(field: GF) -> Quadrangle:
 # verification
 # ---------------------------------------------------------------------------
 
-# the axiom check counts, per chunk of lines, how many points of each line
-# every point sees; a chunk's temporaries hold about this many cells
+# the axiom check takes a chunk of lines at a time; each holds about
+# this many cells over its (lines x points) bit rows
 _AXIOM_CELLS = 1 << 20
 
 
@@ -275,7 +309,12 @@ def verify_gq(gq: Quadrangle, s: int | None = None,
     Returns [] when valid, otherwise a single canonical Violation: the
     first failing check in a fixed category order (line arity, point
     degree, pair uniqueness, one-point-per-external-line axiom), with
-    the lexicographically least witness ids.
+    the lexicographically least witness ids.  The last two read the
+    packed closed neighbourhoods of ``Quadrangle.collinearity``: a pair
+    of points lies on two lines exactly when a neighbourhood has fewer
+    than 1 + s(t+1) points, and each line ORs its points' rows into
+    "seen" and "seen twice" bits, so a point off it that is not seen
+    exactly once breaks the axiom.
     """
     if s is None or t is None:
         gs, gt = gq.order()
@@ -295,45 +334,50 @@ def verify_gq(gq: Quadrangle, s: int | None = None,
                           f"point {p} lies on {int(degrees[p])} lines, "
                           f"expected {t + 1}")]
 
-    k = s + 1
-    enc_parts = []
-    for i, j in itertools.combinations(range(k), 2):
-        a = mat[:, i].astype(np.int64)
-        b = mat[:, j].astype(np.int64)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        enc_parts.append(lo * n + hi)
-    enc = np.concatenate(enc_parts)
-    uniq, counts = np.unique(enc, return_counts=True)
-    dup = uniq[counts > 1]
-    if dup.size:
-        code = int(dup.min())
-        return [Violation("pair_uniqueness", (code // n, code % n),
-                          f"points {code // n} and {code % n} lie on "
-                          f"more than one common line")]
+    # each point now lies on t+1 lines of s other points; they are
+    # distinct unless the point shares a pair with two lines, and the
+    # least such point is the first point of the least repeated pair
+    rows = gq.collinearity()
+    short = np.flatnonzero(_popcount(rows) != 1 + s * (t + 1))
+    if short.size:
+        a = int(short[0])
+        seen = np.bincount(mat[gq.pencils()[a]].ravel(), minlength=n)
+        seen[a] = 0
+        b = int(np.flatnonzero(seen > 1)[0])
+        return [Violation("pair_uniqueness", (a, b),
+                          f"points {a} and {b} lie on more than one "
+                          f"common line")]
 
-    # axiom: a point off a line sees exactly one of its points, and each
-    # point of the line sees the other s
-    # after the checks above each point has s*(t+1) distinct neighbours,
-    # so the sorted edge targets are the (n, s*(t+1)) neighbour block
-    nb = gq.edges()[1].reshape(n, s * (t + 1))
+    # axiom: a point off a line sees exactly one of its points.  The
+    # line's own points are in every row, so they are cleared; the pad
+    # bits past point n-1 are cleared too
+    k = s + 1
     n_lines = gq.n_lines
+    pad = np.uint8((0xFF << (-n % 8)) & 0xFF)
     worst = None  # least witness, coded as point * n_lines + line
-    chunk = max(1, _AXIOM_CELLS // max(n, k * nb.shape[1]))
+    chunk = max(1, _AXIOM_CELLS // max(n, k * s * (t + 1)))
     for start in range(0, n_lines, chunk):
-        rows = mat[start:start + chunk].astype(np.int64)
-        c = rows.shape[0]
-        offsets = (np.arange(c, dtype=np.int64) * n)[:, None, None]
-        cnt = np.bincount((nb[rows] + offsets).ravel(),
-                          minlength=c * n).reshape(c, n)
-        local = np.arange(c)[:, None]
-        own_bad = cnt[local, rows] != s
-        cnt[local, rows] = 1
-        off_bad = np.nonzero(cnt != 1)
-        codes = np.concatenate([
-            rows[own_bad] * n_lines + start + np.nonzero(own_bad)[0],
-            off_bad[1] * n_lines + start + off_bad[0]])
-        if codes.size and (worst is None or codes.min() < worst):
-            worst = int(codes.min())
+        pts = mat[start:start + chunk]
+        local = np.arange(len(pts))
+        seen = rows[pts[:, 0]]
+        twice = np.zeros_like(seen)
+        for i in range(1, k):
+            row = rows[pts[:, i]]
+            twice |= seen & row
+            seen |= row
+        bad = ~seen | twice
+        bad[:, -1] &= pad
+        for i in range(k):
+            bit = np.uint8(128) >> (pts[:, i] % 8).astype(np.uint8)
+            bad[local, pts[:, i] // 8] &= ~bit
+        hit = np.flatnonzero(bad.any(axis=0))
+        if hit.size:
+            # the least point is in the first byte with a bad bit
+            bits = np.unpackbits(bad[:, hit[0], None], axis=1)
+            col = int(bits.any(axis=0).argmax())
+            code = ((8 * int(hit[0]) + col) * n_lines + start
+                    + int(bits[:, col].argmax()))
+            worst = code if worst is None else min(worst, code)
     if worst is not None:
         p, ell = divmod(worst, n_lines)
         return [Violation("axiom", (p, ell),
@@ -371,33 +415,42 @@ def line_action(gq: Quadrangle, group: PermGroup) -> PermGroup:
 
 def perp_set(gq: Quadrangle, x: int) -> list[int]:
     """x together with every point collinear with it, ascending."""
-    return sorted(set(gq.neighbors()[x].tolist()) | {x})
+    return _members(gq.collinearity([x])[0], gq.n_points).tolist()
 
 
 def double_perp(gq: Quadrangle, x: int, y: int) -> list[int]:
-    """The span {x,y}^perp-perp, ascending."""
+    """The span {x,y}^perp-perp, ascending: the AND of the rows of
+    ``Quadrangle.collinearity`` over the trace {x,y}^perp."""
     if x == y:
         raise ValueError("span needs two distinct points")
-    nbs = gq.neighbors()
-    px = np.append(nbs[x], x)
-    py = np.append(nbs[y], y)
-    trace = np.intersect1d(px, py)
-    span = None
-    for w in trace:
-        pw = np.append(nbs[int(w)], int(w))
-        span = pw if span is None else np.intersect1d(span, pw)
-    return sorted(int(v) for v in span)
+    n = gq.n_points
+    rx, ry = gq.collinearity([x, y])
+    trace = gq.collinearity(_members(rx & ry, n))
+    return _members(np.bitwise_and.reduce(trace, axis=0), n).tolist()
 
 
 def payne_derive(gq: Quadrangle, x: int) -> Quadrangle:
-    """Derived quadrangle of order (s-1, s+1) at a regular point x."""
+    """Derived quadrangle of order (s-1, s+1) at a regular point x.
+
+    Keeps the points not collinear with x and, less their point on
+    x^perp, the lines that miss x; the other lines are the hyperbolic
+    lines {x,y}^perp-perp less x, for y not collinear with x.  They are
+    found at once on the rows of ``Quadrangle.collinearity``: the trace
+    {x,y}^perp of each y is its set of bits in the rows of x's
+    neighbours, the y with one trace share one hyperbolic line, and that
+    line is the AND of the rows over the trace, built once, from its
+    least point y.  x is regular when each has t+1 points; otherwise
+    NotRegularPointError names the least y whose span is short.
+    """
     s, t = gq.order()
     if s != t:
         raise ValueError(f"derivation needs order (s,s), got ({s},{t})")
     if not 0 <= x < gq.n_points:
         raise ValueError(f"no point {x}")
-    derived = np.setdiff1d(np.arange(gq.n_points), perp_set(gq, x))
-    new_id = np.full(gq.n_points, -1, dtype=np.int64)
+    n = gq.n_points
+    perp = np.unpackbits(gq.collinearity([x])[0], count=n).astype(bool)
+    derived = np.flatnonzero(~perp)
+    new_id = np.full(n, -1, dtype=np.int64)
     new_id[derived] = np.arange(derived.size)
 
     mat = gq.line_matrix()
@@ -407,18 +460,37 @@ def payne_derive(gq: Quadrangle, x: int) -> Quadrangle:
         raise AssertionError("external line meets perp more than once")
     lines = [ids[kept].reshape(-1, s)]
 
-    covered = set()
-    for y in derived.tolist():
-        if y in covered:
-            continue
-        span = double_perp(gq, x, y)
-        if len(span) != t + 1:
-            raise NotRegularPointError(x, y, len(span), t + 1)
-        rest = [p for p in span if p != x]
-        if (new_id[rest] < 0).any():
+    perp[x] = False
+    rows = gq.collinearity(np.flatnonzero(perp))
+    # trace[i, j]: neighbour i of x is collinear with derived point j
+    trace = np.unpackbits(rows, axis=1, count=n)[:, derived]
+    keys = np.packbits(trace.T, axis=1)
+    # the least derived point with each trace, ascending
+    _, least = np.unique(keys.view(np.dtype((np.void, keys.shape[1]))),
+                         return_index=True)
+    least.sort()
+    sizes = trace[:, least].sum(axis=0)
+    if (sizes != t + 1).any():
+        i = int(np.flatnonzero(sizes != t + 1)[0])
+        raise ValueError(f"points {x} and {int(derived[least[i]])} have "
+                         f"{int(sizes[i])} common neighbours, expected "
+                         f"{t + 1}")
+    step = max(1, _ROW_CELLS // ((t + 1) * rows.shape[1]))
+    for lo in range(0, least.size, step):
+        ys = least[lo:lo + step]
+        on = np.nonzero(trace[:, ys].T)[1].reshape(ys.size, t + 1)
+        span = np.unpackbits(np.bitwise_and.reduce(rows[on], axis=1),
+                             axis=1, count=n)
+        size = span.sum(axis=1)
+        if (size != t + 1).any():
+            i = int(np.flatnonzero(size != t + 1)[0])
+            raise NotRegularPointError(x, int(derived[ys[i]]),
+                                       int(size[i]), t + 1)
+        span[:, x] = 0
+        rest = new_id[np.nonzero(span)[1].reshape(ys.size, t)]
+        if (rest < 0).any():
             raise AssertionError("span leaves the derived point set")
-        covered.update(rest)
-        lines.append(new_id[rest][None])
+        lines.append(rest)
 
     labels = None
     if gq.labels is not None:

@@ -38,7 +38,6 @@ __all__ = [
     "projective_points",
     "enumerate_singular",
     "singular_line_rows",
-    "line_rows",
     "code_lookup",
     "sp4_membership",
     "mat_mul_batch",
@@ -529,9 +528,11 @@ def sp4_membership(form: AlternatingForm, m: Mat) -> bool:
 # singular subspace enumeration
 # ---------------------------------------------------------------------------
 
-# cells of one chunk's (points x points) arrays in ``line_rows``: 2 MB
-# at eight bytes a cell, so the chunks add little to peak memory
-_CHUNK_CELLS = 1 << 18
+# field codes in one point chunk's (points x candidate lines x line
+# points x coordinates) block of ``singular_line_rows``, counted as if
+# every candidate line were singular; with the chunk's int64 vector
+# codes, W(3,27) peaks at about 75 MB
+_PENCIL_CELLS = 1 << 20
 
 
 def _code_weights(q: int, n: int) -> np.ndarray:
@@ -543,23 +544,28 @@ def _code_digits(codes: np.ndarray, q: int, n: int) -> np.ndarray:
     return codes[:, None] // _code_weights(q, n) % q
 
 
+def _quadratic_values(form, digits: np.ndarray) -> np.ndarray:
+    """Q at every vector of ``digits`` (coordinates on the last axis)."""
+    k = form.field
+    mul, add = k.mul_table, k.add_table
+    val = np.zeros(digits.shape[:-1], dtype=mul.dtype)
+    for i in range(form.dim):
+        for j in range(form.dim):
+            c = form.coeff.entry(i, j)
+            if c:
+                val = add[val, mul[c, mul[digits[..., i], digits[..., j]]]]
+    return val
+
+
 def _singular_points(form) -> list[tuple]:
     # the normalised vectors are the codes whose leading nonzero digit
     # is 1, i.e. the blocks [q^m, 2 q^m); concatenated they ascend
-    k = form.field
-    q, n = k.q, form.dim
+    q, n = form.field.q, form.dim
     codes = np.concatenate([np.arange(q**m, 2 * q**m, dtype=np.int64)
                             for m in range(n)])
     digits = _code_digits(codes, q, n)
     if not isinstance(form, AlternatingForm):
-        mul, add = k.mul_table, k.add_table
-        val = np.zeros(len(codes), dtype=mul.dtype)
-        for i in range(n):
-            for j in range(n):
-                c = form.coeff.entry(i, j)
-                if c:
-                    val = add[val, mul[c, mul[digits[:, i], digits[:, j]]]]
-        digits = digits[val == 0]
+        digits = digits[_quadratic_values(form, digits) == 0]
     return [tuple(v) for v in digits.tolist()]
 
 
@@ -574,81 +580,42 @@ def code_lookup(multiples: np.ndarray, size: int) -> np.ndarray:
     return look
 
 
-def line_rows(look: np.ndarray, multiples: np.ndarray, span_codes,
-              collinear) -> np.ndarray:
-    """Every line through two collinear points, as sorted index rows.
-
-    The points are numbered in ascending order of their codes.
-    multiples[i] holds the codes of the q-1 nonzero scalar multiples of
-    point i, its own code first; look maps each of them back to i (see
-    ``code_lookup``), span_codes(i, j) gives for two arrays of point
-    indices the codes of the vectors i + c*j, one row of q-1 per pair in
-    the order of ``multiples``, and collinear(lo, hi) is the boolean
-    matrix of "point i is collinear with point j" for i in [lo, hi) and
-    j > lo.  For each pair i < j the other q-1 points i + c*j of its line
-    come from one lookup; the pair is kept only when j is the least of
-    them, so each line is emitted once, as the row (i, j, others
-    ascending), and the rows ascend.
-    Chunks of rows keep every temporary near ``_CHUNK_CELLS`` cells.
-    """
-    n_pts, width = multiples.shape
-    step = max(1, _CHUNK_CELLS // max(1, n_pts))
-    out = []
-    for lo in range(0, n_pts, step):
-        r, c = np.nonzero(collinear(lo, min(lo + step, n_pts)))
-        i, j = r + lo, c + lo + 1
-        later = j > i
-        i, j = i[later], j[later]
-        others = look[span_codes(i, j)]
-        least = others.min(axis=1)
-        if (least < 0).any():
-            raise AssertionError("a point of a singular line is not singular")
-        first = j < least
-        out.append(np.column_stack(
-            (i[first], j[first], np.sort(others[first], axis=1))))
-    if not out:
-        return np.empty((0, width + 2), dtype=np.int64)
-    return np.concatenate(out)
-
-
 def singular_line_rows(form, points: Sequence[Sequence[int]]) -> np.ndarray:
     """Totally isotropic/singular lines as sorted rows of point indices.
 
     points are the singular points in ascending order, as from
     ``enumerate_singular(form, 1)``.  A vector is coded as the integer
     its coordinates spell in base q, first coordinate most significant,
-    so code order is point order; ``line_rows`` then finds the lines.
-    Two singular points span a singular line exactly when the polar
-    form vanishes on them.  That form is linear in the second point, so
-    for a chunk of first points it is tabulated over the codes of the
-    first half of the coordinates and over those of the second half,
-    and collinearity is a comparison of two table gathers.
+    so code order is point order, and ``code_lookup`` over the scalar
+    multiples names the point of any vector.  The lines come from one
+    pencil per point v: they are the spans of v with the singular points
+    w of v^perp / v.  With c the polar functional w -> B(v, w) and c_j
+    its first nonzero entry, the vectors e_i - (c_i / c_j) e_j, i != j,
+    span v^perp; leaving out the one of a further nonzero coordinate of
+    v leaves n - 2 that span a complement of v there.  The projective
+    points of that complement are tried by their codes (all are
+    singular for the alternating form; otherwise a table of Q over every
+    code keeps the zeros), and each line {v} + {w + mu*v} is looked up
+    once from every point on it and kept from its least point, so the
+    rows, (v, others ascending), ascend.  Points go a chunk at a time,
+    about ``_PENCIL_CELLS`` cells each.  A point of a line that is
+    missing from ``points`` raises AssertionError.  The polar form must
+    vanish at no point.
     """
     k = form.field
     q, n = k.q, form.dim
     mul, add = k.mul_table, k.add_table
+    index, mulf, addf = _flat_tables(k)
     digits = np.asarray(points, dtype=np.int64).reshape(-1, n)
+    n_pts = len(digits)
     weights = _code_weights(q, n)
-    # the coordinates of every scalar multiple c*p, c = 1..q-1, of every
-    # point p, gathered once
+    # the coordinates of every scalar multiple c*v, c = 1..q-1, of every
+    # point v, gathered once
     scaled = np.stack([mul[c][digits] for c in range(1, q)],
-                      axis=1).astype(np.intp)
+                      axis=1).astype(index)
     multiples = scaled @ weights
     look = code_lookup(multiples, q**n)
-    if k.p == 2:
-        def span_codes(i, j):
-            return multiples[i, :1] ^ multiples[j]  # bit-field coordinates
-    else:
-        # i + c*j adds coordinates through the flattened addition table,
-        # at q * (coordinate of i) + (coordinate of c*j)
-        flat_add = add.ravel()
-        rows = digits * q
-
-        def span_codes(i, j):
-            return (flat_add[rows[i, None] + scaled[j]].astype(np.int64)
-                    @ weights)
-
-    # coefficients of the linear form w -> B(p, w) for every point p
+    # coefficients of the polar functional w -> B(v, w) of every point v
     gram = form.gram if isinstance(form, AlternatingForm) else form.polar_gram
     coef = np.zeros(digits.shape, dtype=mul.dtype)
     for i in range(n):
@@ -656,27 +623,58 @@ def singular_line_rows(form, points: Sequence[Sequence[int]]) -> np.ndarray:
             g = gram.entry(i, j)
             if g:
                 coef[:, j] = add[coef[:, j], mul[digits[:, i], g]]
-    neg = np.asarray([k.neg(a) for a in range(q)], dtype=mul.dtype)
-    h = n // 2
-    codes = multiples[:, 0]
-    head, tail = codes // q**(n - h), codes % q**(n - h)
-    head_digits = _code_digits(np.arange(q**h), q, h)
-    tail_digits = _code_digits(np.arange(q**(n - h)), q, n - h)
-
-    def partial(cf, dg):
-        # (chunk, q^len) table of sum_t cf[:, t] * dg[:, t]
-        acc = np.zeros((len(cf), len(dg)), dtype=mul.dtype)
-        for t in range(dg.shape[1]):
-            acc = add[acc, mul[cf[:, t, None], dg[None, :, t]]]
-        return acc
-
-    def collinear(lo, hi):
-        cf = coef[lo:hi]
-        top = partial(cf[:, :h], head_digits)
-        bottom = neg[partial(cf[:, h:], tail_digits)]
-        return top[:, head[lo + 1:]] == bottom[:, tail[lo + 1:]]
-
-    return line_rows(look, multiples, span_codes, collinear)
+    if not coef.any(axis=1).all():
+        raise ValueError("the polar form vanishes at a point")
+    every = np.arange(n_pts)
+    piv = (coef != 0).argmax(axis=1)
+    inv = np.array([0] + [k.inv(a) for a in range(1, q)], dtype=mul.dtype)
+    neg = np.array([k.neg(a) for a in range(q)], dtype=index)
+    # -c_i / c_piv, the piv coordinate of the kernel vector of coordinate i
+    slope = neg[mul[coef, inv[coef[every, piv]][:, None]]]
+    other = digits != 0
+    other[every, piv] = False
+    free = np.ones((n_pts, n), dtype=bool)
+    free[every, piv] = free[every, other.argmax(axis=1)] = False
+    free = np.nonzero(free)[1].reshape(n_pts, n - 2)
+    cand = np.asarray(projective_points(k, n - 2), dtype=index)
+    m = len(cand)
+    # Q at every vector code; Q(w + mu*v) = Q(w) on v^perp
+    qval = (None if isinstance(form, AlternatingForm) else
+            _quadratic_values(form, _code_digits(np.arange(q**n), q, n)))
+    step = max(1, _PENCIL_CELLS // (m * (q + 1) * n))
+    out = [np.empty((0, q + 1), dtype=np.int64)]
+    for lo in range(0, n_pts, step):
+        pts = every[lo:lo + step]
+        # w = sum_a cand[:, a] * (kernel vector of free[:, a]) has cand at
+        # the free coordinates, their dot product with the slopes at piv
+        # and 0 at the other one; its code is summed from those
+        sl = slope[pts[:, None], free[pts]]
+        dot = mulf.take(sl[:, 0, None] * q + cand[:, 0])
+        for a in range(1, n - 2):
+            term = mulf.take(sl[:, a, None] * q + cand[:, a])
+            dot = dot ^ term if addf is None else addf.take(dot * q + term)
+        codes = weights[free[pts]] @ cand.T.astype(np.int64)
+        codes += dot * weights[piv[pts], None]
+        if qval is None:
+            owner, codes = np.repeat(pts, m), codes.ravel()
+        else:
+            owner, which = np.nonzero(qval[codes] == 0)
+            owner, codes = owner + lo, codes[owner, which]
+        # the codes of the line's points w + mu*v, mu = 0..q-1
+        if addf is None:
+            line = np.column_stack((codes, codes[:, None] ^ multiples[owner]))
+        else:
+            w = _code_digits(codes, q, n).astype(index)
+            line = np.column_stack((codes, addf.take(
+                w[:, None] * q + scaled[owner]) @ weights))
+        ids = look[line]
+        least = ids.min(axis=1)
+        if (least < 0).any():
+            raise AssertionError("a point of a singular line is not singular")
+        first = owner < least
+        rows = np.column_stack((owner[first], np.sort(ids[first], axis=1)))
+        out.append(rows[np.lexsort((rows[:, 1], rows[:, 0]))])
+    return np.concatenate(out)
 
 
 def enumerate_singular(form, dim: int) -> list[Subspace]:

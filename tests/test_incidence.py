@@ -34,6 +34,13 @@ def grid33():
     return Quadrangle(9, lines, s=2, t=1, name="grid 3x3")
 
 
+def neighbour_lists(gq: Quadrangle) -> list[np.ndarray]:
+    """The points collinear with each point, ascending, cut from the
+    sorted edge targets."""
+    src, dst = gq.edges()
+    return np.split(dst, np.searchsorted(src, np.arange(1, gq.n_points)))
+
+
 # -- construction ------------------------------------------------------------
 
 def test_w3_counts():
@@ -131,7 +138,7 @@ def axiom_witness_oracle(gq: Quadrangle, s: int):
     """The former dense axiom check: all counts against one expected
     lines x points matrix; the least (point, line) witness or None."""
     mat = gq.line_matrix().astype(np.int64)
-    nb = gq.neighbors()
+    nb = neighbour_lists(gq)
     cnt = np.zeros((gq.n_lines, gq.n_points), dtype=np.int64)
     for ell, row in enumerate(mat):
         for x in row:
@@ -166,24 +173,107 @@ def test_verify_axiom_across_chunks(monkeypatch):
     assert out[0].witness == (0, 2)
     assert verify_gq(build_w3(GF.default(3))) == []
     rng = np.random.default_rng(3)
+    cases = [build_w3(GF.default(2)), build_w3(GF.default(3)),
+             build_qminus5(GF.default(2)),
+             payne_derive(build_w3(GF.default(3)), 0)]
     seen_later, checked = False, 0
     for cells in (1, 40, 1000):
         monkeypatch.setattr(incidence, "_AXIOM_CELLS", cells)
-        for q in (2, 3):
-            w = build_w3(GF.default(q))
-            w.s, w.t = q, q
+        for gq in cases:
+            s, t = gq.order()
             for _ in range(6):
-                broken = _swapped(w, rng)
+                broken = _swapped(gq, rng)
                 out = verify_gq(broken)
                 if out and out[0].category == "axiom":
                     checked += 1
-                    want = axiom_witness_oracle(broken, q)
+                    want = axiom_witness_oracle(broken, s)
                     assert out[0].witness == want
                     # lines per chunk, as verify_gq sizes them
-                    chunk = max(1, cells // max(w.n_points,
-                                                (q + 1) * q * (q + 1)))
+                    chunk = max(1, cells // max(gq.n_points,
+                                                (s + 1) * s * (t + 1)))
                     seen_later |= want[1] >= chunk
-    assert seen_later and checked >= 10
+    assert seen_later and checked >= 20
+
+
+def fano_plane() -> Quadrangle:
+    return Quadrangle(7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5),
+                          (1, 4, 6), (2, 3, 6), (2, 4, 5)], name="Fano")
+
+
+def affine_plane_3() -> Quadrangle:
+    """AG(2,3): the point (x, y) is 3x + y, lines in four directions."""
+    lines = {tuple(sorted(3 * ((x + i * dx) % 3) + (y + i * dy) % 3
+                          for i in range(3)))
+             for x in range(3) for y in range(3)
+             for dx, dy in ((0, 1), (1, 0), (1, 1), (1, 2))}
+    return Quadrangle(9, sorted(lines), name="AG(2,3)")
+
+
+def pentagon() -> Quadrangle:
+    return Quadrangle(5, [(i, (i + 1) % 5) for i in range(5)],
+                      name="pentagon")
+
+
+def two_copies(gq: Quadrangle) -> Quadrangle:
+    """gq and a disjoint copy on the points n..2n-1."""
+    mat = gq.line_matrix()
+    return Quadrangle(2 * gq.n_points, np.concatenate([mat,
+                                                       mat + gq.n_points]),
+                      name=f"two {gq.name}")
+
+
+# non-GQs that pass the checks before the axiom, with the witness found
+# by the dense count, and how many points of the witness line the
+# witness point sees: all of them in the planes, none in the others
+AXIOM_CASES = {
+    "Fano": (fano_plane, (0, 3), 3),
+    "AG(2,3)": (affine_plane_3, (0, 4), 3),
+    "pentagon": (pentagon, (0, 3), 0),
+    "two W(3,2)": (lambda: two_copies(build_w3(GF.default(2))), (0, 15), 0),
+    "two Q-(5,2)": (lambda: two_copies(build_qminus5(GF.default(2))),
+                    (0, 45), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(AXIOM_CASES))
+def test_axiom_witnesses_of_non_quadrangles(name):
+    make, want, sees = AXIOM_CASES[name]
+    gq = make()
+    out = verify_gq(gq)
+    assert [v.category for v in out] == ["axiom"]
+    assert out[0].witness == want == axiom_witness_oracle(gq, gq.order()[0])
+    p, ell = want
+    line = gq.line_matrix()[ell]
+    assert p not in line
+    assert np.isin(line, neighbour_lists(gq)[p]).sum() == sees
+
+
+def test_collinearity_rows_are_the_closed_neighbourhoods(monkeypatch):
+    import gquad.incidence as incidence
+    # 40 and 9 points: a whole last byte and one pad-heavy one; 27: the
+    # derived q=3, 5 pad bits; 4 and 6: points on no line
+    cases = [build_w3(GF.default(3)), grid33(),
+             payne_derive(build_w3(GF.default(3)), 0),
+             Quadrangle(4, [(0, 1, 2), (0, 1, 3)]),
+             Quadrangle(6, [(0, 2, 3), (0, 2, 5)])]
+    for gq in cases:
+        n = gq.n_points
+        want = adjacency_oracle(gq) | np.eye(n, dtype=bool)
+        rows = gq.collinearity()
+        assert rows.dtype == np.uint8 and rows.shape == (n, (n + 7) // 8)
+        bits = np.unpackbits(rows, axis=1).astype(bool)
+        assert np.array_equal(bits[:, :n], want)
+        assert not bits[:, n:].any()
+        picked = [n - 1, 0, n // 2, 0]
+        assert np.array_equal(gq.collinearity(picked), rows[picked])
+        for cells in (1, 37):
+            monkeypatch.setattr(incidence, "_ROW_CELLS", cells)
+            assert np.array_equal(gq.collinearity(), rows)
+        monkeypatch.undo()
+        assert [gq.collinear(a, b) for a in range(n) for b in range(n)] == \
+            [bool(want[a, b]) and a != b for a in range(n) for b in range(n)]
+    # pad bits: the valid quadrangles stay valid
+    assert verify_gq(cases[0]) == [] and verify_gq(cases[2]) == []
 
 
 # -- perp machinery ----------------------------------------------------------
@@ -253,6 +343,102 @@ def test_derive_not_regular_point():
         payne_derive(d, 0)
     assert err.value.point == 0
     assert err.value.size < err.value.expected
+
+
+def double_perp_oracle(nbs: list, x: int, y: int) -> list[int]:
+    """The former span: the neighbour lists ``nbs`` met by
+    ``np.intersect1d``."""
+    trace = np.intersect1d(np.append(nbs[x], x), np.append(nbs[y], y))
+    span = None
+    for w in trace.tolist():
+        pw = np.append(nbs[w], w)
+        span = pw if span is None else np.intersect1d(span, pw)
+    return sorted(int(v) for v in span)
+
+
+def payne_derive_oracle(gq: Quadrangle, x: int) -> Quadrangle:
+    """The former derivation loop: one ``double_perp_oracle`` per
+    derived point that no earlier span covers."""
+    s, t = gq.order()
+    nbs = neighbour_lists(gq)
+    perp = np.append(nbs[x], x)
+    derived = np.setdiff1d(np.arange(gq.n_points), perp)
+    new_id = np.full(gq.n_points, -1, dtype=np.int64)
+    new_id[derived] = np.arange(derived.size)
+    mat = gq.line_matrix()
+    ids = new_id[mat[~(mat == x).any(axis=1)]]
+    lines = [ids[ids >= 0].reshape(-1, s)]
+    covered = set()
+    for y in derived.tolist():
+        if y in covered:
+            continue
+        span = double_perp_oracle(nbs, x, y)
+        if len(span) != t + 1:
+            raise NotRegularPointError(x, y, len(span), t + 1)
+        rest = [p for p in span if p != x]
+        covered.update(rest)
+        lines.append(new_id[rest][None])
+    labels = None
+    if gq.labels is not None:
+        labels = tuple(gq.labels[p] for p in derived.tolist())
+    return Quadrangle(derived.size, np.concatenate(lines), s=s - 1,
+                      t=s + 1, labels=labels,
+                      name=f"{gq.name} derived at {x}")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_derive_matches_loop_oracle(q):
+    w = build_w3(GF.default(q))
+    for x in (0, w.n_points // 2, w.n_points - 1):
+        got, want = payne_derive(w, x), payne_derive_oracle(w, x)
+        assert got.line_matrix().tobytes() == want.line_matrix().tobytes()
+        assert got.labels == want.labels and got.name == want.name
+        assert got.order() == (q - 1, q + 1)
+
+
+def test_not_regular_point_fields_match_loop_oracle():
+    d = dual(build_w3(GF.default(3)))
+    for x in (0, 5):
+        with pytest.raises(NotRegularPointError) as got:
+            payne_derive(d, x)
+        with pytest.raises(NotRegularPointError) as want:
+            payne_derive_oracle(d, x)
+        fields = ("point", "witness", "size", "expected")
+        assert [getattr(got.value, f) for f in fields] == \
+            [getattr(want.value, f) for f in fields]
+        assert str(got.value) == str(want.value)
+
+
+def test_derive_rejects_a_trace_of_the_wrong_size():
+    # W(3,2) plus a line through y, a neighbour z of 0 that y does not
+    # see, and one more point off 0's perp: every line that misses 0
+    # still meets its perp once, but 0 and y now have 4 common neighbours
+    w = build_w3(GF.default(2))
+    perp = set(perp_set(w, 0))
+    y = min(set(range(w.n_points)) - perp)
+    z = min(perp - {0} - set(perp_set(w, y)))
+    v = min(set(range(w.n_points)) - perp - set(perp_set(w, y))
+            - set(perp_set(w, z)))
+    lines = np.concatenate([w.line_matrix(), [sorted((y, z, v))]])
+    with pytest.raises(ValueError, match=rf"points 0 and {y} have 4 common "
+                                         rf"neighbours, expected 3"):
+        payne_derive(Quadrangle(w.n_points, lines, s=2, t=2), 0)
+
+
+def test_double_perp_matches_oracle():
+    gq = build_w3(GF.default(4))
+    nbs = neighbour_lists(gq)
+    rng = np.random.default_rng(12)
+    checked = 0
+    while checked < 20:
+        x, y = (int(v) for v in rng.choice(gq.n_points, 2, replace=False))
+        if gq.collinear(x, y):
+            continue
+        span = double_perp(gq, x, y)
+        assert span == double_perp_oracle(nbs, x, y)
+        assert len(span) == 5 and {x, y} <= set(span)
+        assert perp_set(gq, x) == sorted([x, *nbs[x].tolist()])
+        checked += 1
 
 
 # -- isomorphism and automorphisms -------------------------------------------
@@ -406,7 +592,7 @@ def test_not_isomorphic_same_parameters():
 def adjacency_oracle(gq: Quadrangle) -> np.ndarray:
     """The former dense n x n collinearity matrix."""
     adj = np.zeros((gq.n_points, gq.n_points), dtype=bool)
-    for i, nb in enumerate(gq.neighbors()):
+    for i, nb in enumerate(neighbour_lists(gq)):
         adj[i, nb] = True
     return adj
 
@@ -528,7 +714,7 @@ def test_edges_give_the_neighbour_lists():
         assert np.array_equal(codes, np.unique(codes))
         want = [sorted({b for line in gq.lines if a in line for b in line}
                        - {a}) for a in range(gq.n_points)]
-        assert [nb.tolist() for nb in gq.neighbors()] == want
+        assert [nb.tolist() for nb in neighbour_lists(gq)] == want
 
 
 def pencils_oracle(gq: Quadrangle) -> list[list[int]]:

@@ -1,4 +1,4 @@
-"""The singular-line kernel against the loops it replaced.
+"""The singular-line pencils against the routes they replaced.
 
 ``isotropic_lines_by_echelon_oracle``, ``singular_lines_by_pairs_oracle``
 and ``gu513_lines_oracle`` are the earlier per-line and per-pair Python
@@ -6,7 +6,10 @@ routes: every 2x4 echelon pattern tested against the alternating form,
 the later orthogonal points of each singular point split into lines
 through ``normalise_point``, and the per-point mate loop of
 ``build_gu513``.  ``build_from_form_oracle`` numbers the points of each
-line through ``Subspace.points()``.  They are kept here only, as oracles
+line through ``Subspace.points()``.  ``pair_line_rows_oracle`` is the
+pair kernel that ``linalg.singular_line_rows`` used before it built one
+pencil per point: it tests every pair of points for collinearity, a
+chunk of first points at a time.  They are kept here only, as oracles
 for ``linalg.singular_line_rows``, ``enumerate_singular`` and
 ``build_from_form``, which look vectors up by integer code.
 """
@@ -24,6 +27,9 @@ from gquad.linalg import (
     AlternatingForm,
     QuadraticForm,
     Subspace,
+    _code_digits,
+    _code_weights,
+    code_lookup,
     enumerate_singular,
     normalise_point,
     projective_points,
@@ -119,6 +125,81 @@ def build_from_form_oracle(form) -> Quadrangle:
     return Quadrangle(len(points), lines, labels=points)
 
 
+def pair_line_rows_oracle(form, points, chunk_cells=1 << 18) -> np.ndarray:
+    """Every line through two collinear points, as sorted index rows.
+
+    Two singular points span a singular line exactly when the polar form
+    vanishes on them.  That form is linear in the second point, so for a
+    chunk of first points it is tabulated over the codes of the first
+    half of the coordinates and over those of the second half, and
+    collinearity is a comparison of two table gathers.  For each pair
+    i < j the other q-1 points i + c*j of its line come from one lookup;
+    the pair is kept only when j is the least of them, so each line is
+    emitted once, as the row (i, j, others ascending), and the rows
+    ascend.
+    """
+    k = form.field
+    q, n = k.q, form.dim
+    mul, add = k.mul_table, k.add_table
+    digits = np.asarray(points, dtype=np.int64).reshape(-1, n)
+    weights = _code_weights(q, n)
+    scaled = np.stack([mul[c][digits] for c in range(1, q)],
+                      axis=1).astype(np.intp)
+    multiples = scaled @ weights
+    look = code_lookup(multiples, q**n)
+    if k.p == 2:
+        def span_codes(i, j):
+            return multiples[i, :1] ^ multiples[j]  # bit-field coordinates
+    else:
+        flat_add = add.ravel()
+        rows = digits * q
+
+        def span_codes(i, j):
+            return (flat_add[rows[i, None] + scaled[j]].astype(np.int64)
+                    @ weights)
+
+    gram = form.gram if isinstance(form, AlternatingForm) else form.polar_gram
+    coef = np.zeros(digits.shape, dtype=mul.dtype)
+    for i in range(n):
+        for j in range(n):
+            g = gram.entry(i, j)
+            if g:
+                coef[:, j] = add[coef[:, j], mul[digits[:, i], g]]
+    neg = np.asarray([k.neg(a) for a in range(q)], dtype=mul.dtype)
+    h = n // 2
+    codes = multiples[:, 0]
+    head, tail = codes // q**(n - h), codes % q**(n - h)
+    head_digits = _code_digits(np.arange(q**h), q, h)
+    tail_digits = _code_digits(np.arange(q**(n - h)), q, n - h)
+
+    def partial(cf, dg):
+        acc = np.zeros((len(cf), len(dg)), dtype=mul.dtype)
+        for t in range(dg.shape[1]):
+            acc = add[acc, mul[cf[:, t, None], dg[None, :, t]]]
+        return acc
+
+    n_pts = len(digits)
+    step = max(1, chunk_cells // max(1, n_pts))
+    out = [np.empty((0, q + 1), dtype=np.int64)]
+    for lo in range(0, n_pts, step):
+        hi = min(lo + step, n_pts)
+        cf = coef[lo:hi]
+        top = partial(cf[:, :h], head_digits)
+        bottom = neg[partial(cf[:, h:], tail_digits)]
+        r, c = np.nonzero(top[:, head[lo + 1:]] == bottom[:, tail[lo + 1:]])
+        i, j = r + lo, c + lo + 1
+        later = j > i
+        i, j = i[later], j[later]
+        others = look[span_codes(i, j)]
+        least = others.min(axis=1)
+        if (least < 0).any():
+            raise AssertionError("a point of a singular line is not singular")
+        first = j < least
+        out.append(np.column_stack(
+            (i[first], j[first], np.sort(others[first], axis=1))))
+    return np.concatenate(out)
+
+
 def gu513_lines_oracle():
     """(labels, lines) of the norm-trace Q-(5,8), one point at a time."""
     k = GF(p=2, f=18)
@@ -199,9 +280,42 @@ def test_line_rows_do_not_depend_on_the_chunk_size(name, monkeypatch):
     form = FORMS[name]
     pts = [s.basis[0] for s in enumerate_singular(form, 1)]
     whole = singular_line_rows(form, pts)
-    for cells in (1, 37, 500):
-        monkeypatch.setattr(linalg, "_CHUNK_CELLS", cells)
+    for cells in (1, 37, 500, 5000):
+        monkeypatch.setattr(linalg, "_PENCIL_CELLS", cells)
         assert np.array_equal(singular_line_rows(form, pts), whole)
+
+
+LARGE_FORMS = {"W(3,16)": AlternatingForm(GF.default(16)),
+               "Q-(5,7)": QuadraticForm(GF.default(7))}
+
+
+@pytest.mark.parametrize("name", list(FORMS) + list(LARGE_FORMS))
+def test_line_rows_match_the_pair_kernel(name):
+    form = {**FORMS, **LARGE_FORMS}[name]
+    pts = [s.basis[0] for s in enumerate_singular(form, 1)]
+    got = singular_line_rows(form, pts)
+    want = pair_line_rows_oracle(form, pts)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["W(3,3)", "Q-(5,3)", "Q-(5,2) three planes"])
+def test_line_rows_reject_a_missing_point(name):
+    form = FORMS[name]
+    pts = [s.basis[0] for s in enumerate_singular(form, 1)]
+    for gone in (0, len(pts) // 2, len(pts) - 1):
+        with pytest.raises(AssertionError, match="not singular"):
+            singular_line_rows(form, pts[:gone] + pts[gone + 1:])
+
+
+def test_line_rows_need_a_nondegenerate_polar_form():
+    # Q(x) = x1 x2 on GF(3)^4: the polar form vanishes on (0, 0, 1, 0)
+    k = GF.default(3)
+    rows = [[0] * 4 for _ in range(4)]
+    rows[0][1] = 1
+    form = QuadraticForm(k, coeff=linalg.Mat.from_rows(k, rows))
+    pts = [s.basis[0] for s in enumerate_singular(form, 1)]
+    with pytest.raises(ValueError, match="polar form vanishes"):
+        singular_line_rows(form, pts)
 
 
 def test_line_rows_are_sorted_rows_of_lines():
