@@ -437,7 +437,7 @@ def build_gu513() -> tuple[PermGroup, Quadrangle]:
     Returns (group, quadrangle); group.gens[0] is the norm-one
     multiplier, group.gens[1] the Frobenius.
     """
-    k = GF(p=2, f=18)
+    k = GF.default(1 << 18)
     q1 = k.q - 1                       # 262143 = 513 * 511
     m = q1 // 7                        # 37449 = 513 * 73
     exp, log = k.exp_log_char2()

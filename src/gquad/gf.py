@@ -276,6 +276,7 @@ class GF:
         self._add_table = None
         self._exp = None
         self._log = None
+        self._exp_log_arrays = None
         self._scalar_tables = None
 
     _cache: dict[int, "GF"] = {}
@@ -418,7 +419,7 @@ class GF:
             self._exp, self._log = [1], [0, 0]
             return
         if self.p == 2:
-            exp, log = (t.tolist() for t in self.exp_log_char2())
+            exp, log = (t.tolist() for t in self._build_exp_log_char2())
         else:
             g = self._find_primitive()
             exp = [0] * (q - 1)
@@ -435,11 +436,23 @@ class GF:
         """exp and log tables of a field of characteristic 2, as arrays.
 
         exp[i] is g^i for the least primitive code g, log[exp[i]] is i
-        and log[0] is 0.  Bit i of a code is the coefficient of x^i, so
-        carry-less multiplication works on codes directly; past its
-        first block the table is filled by doubling,
-        exp[k:2k] = exp[:k] * g^k, where a * g^k is GF(2)-linear in a: the
-        xor of two table gathers, at the low f//2 bits and the high bits.
+        and log[0] is 0.  They are int32, built once per field and
+        returned read-only.
+        """
+        if self._exp_log_arrays is None:
+            tables = self._build_exp_log_char2()
+            for t in tables:
+                t.setflags(write=False)
+            self._exp_log_arrays = tables
+        return self._exp_log_arrays
+
+    def _build_exp_log_char2(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tables of ``exp_log_char2``, built afresh.  Bit i of a code
+        is the coefficient of x^i, so carry-less multiplication works on
+        codes directly; past its first block the table is filled by
+        doubling, exp[k:2k] = exp[:k] * g^k, where a * g^k is GF(2)-linear
+        in a: the xor of two table gathers, at the low f//2 bits and the
+        high bits.
         """
         if self.p != 2 or self.q == 2:
             raise ValueError("needs characteristic 2 and q > 2")
@@ -488,9 +501,11 @@ class GF:
                           ^ mul_int(high, c)[block >> half])
             k = top
         assert mul_int(int(exp[-1]), gen) == 1
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(order)
-        return exp, log
+        # int32 holds every code and log of a table that fits in memory,
+        # and halves what a cached table keeps resident
+        log = np.zeros(q, dtype=np.int32)
+        log[exp] = np.arange(order, dtype=np.int32)
+        return exp.astype(np.int32), log
 
     def _ensure_exp_log(self):
         if self._exp is None:

@@ -24,8 +24,9 @@ closures, the lower central series, power and Frattini subgroups and
 isomorphisms are all computed from them with numpy; no element products
 are made after the closure.  A PermGroup has one FiniteGroup, its
 element table, closed on first use and cached: its elements, subgroup
-keys and conjugation-orbit walk all read the table's rows, and the walk
-keys all the children of one conjugator with one gather.
+keys and conjugation-orbit walk all read the table's rows.  The walk is
+breadth-first and returns the orbit as a table; it keys a chunk of steps
+at a time, with one gather and one sort.
 
 ``element_closure`` is the one element closure: element tables and the
 search's lazy element walks all come from it.  It multiplies blocks of
@@ -45,7 +46,7 @@ import hashlib
 import itertools
 import json
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,6 +69,7 @@ __all__ = [
     "is_conjugate_subgroup",
     "subgroup_key",
     "subgroup_orbit",
+    "SubgroupOrbit",
     "is_isomorphic_small",
     "find_isomorphism",
     "invariant_report",
@@ -1340,10 +1342,13 @@ def _base_keyer(ambient: PermGroup):
     """(base, key): the ambient base B, and key(block) -> the exact key
     of the subgroup whose elements' images of B are the rows of block.
     Ambient elements are determined by their images of B, so each row is
-    packed exactly into int64 codes; the key is the sorted codes' bytes.
+    packed exactly into int64 codes, sum_j image_j * weights[j]; the key
+    is the sorted codes' bytes.
 
-    ``key.many(blocks)`` keys d subgroups at once: blocks has shape
-    |H| x d x |B|, and key(block) is ``key.many(block[:, None])[0]``.
+    ``key.weights`` is the |B| x c array of those weights, and
+    ``key.of_codes(codes)`` keys m subgroups at once from their codes,
+    shape m x |H| x c: key(block) is ``key.of_codes(block @ weights)``'s
+    one key.
     """
     base = np.asarray(ambient.base(), dtype=np.intp)
     n = ambient.degree
@@ -1354,23 +1359,24 @@ def _base_keyer(ambient: PermGroup):
         weights[j, j // width] = n ** (width - 1 - j % width)
 
     def key(block: np.ndarray) -> bytes:
-        return many(block[:, None])[0]
+        return of_codes((block.astype(np.int64) @ weights)[None])[0]
 
-    def many(blocks: np.ndarray) -> list[bytes]:
-        codes = blocks.astype(np.int64) @ weights
+    def of_codes(codes: np.ndarray) -> list[bytes]:
+        m, h = codes.shape[:2]
         if chunks == 1:
-            # row i: block i's codes, sorted in one call
-            codes = np.sort(codes[:, :, 0].T, axis=1)
+            # row i: subgroup i's codes, sorted in one call
+            codes = np.sort(codes[:, :, 0], axis=1)
         else:
-            # every block's rows, sorted by block first, then
+            # every subgroup's rows, sorted by subgroup first, then
             # lexicographically
-            m, d = codes.shape[:2]
-            flat = codes.transpose(1, 0, 2).reshape(d * m, chunks)
-            order = np.lexsort((*flat.T[::-1], np.arange(d * m) // m))
-            codes = flat[order].reshape(d, m, chunks)
-        return [c.tobytes() for c in codes]
+            flat = codes.reshape(m * h, chunks)
+            order = np.lexsort((*flat.T[::-1], np.arange(m * h) // h))
+            codes = flat[order]
+        # each subgroup's codes as one bytes object, all in one call
+        row = np.dtype((np.void, 8 * h * chunks))
+        return codes.reshape(m, h * chunks).view(row).ravel().tolist()
 
-    key.many = many
+    key.weights, key.of_codes = weights, of_codes
     return base, key
 
 
@@ -1381,71 +1387,146 @@ def subgroup_key(ambient: PermGroup, sub: PermGroup) -> bytes:
     return key(FiniteGroup.from_permgroup(sub).rows[:, base])
 
 
-def subgroup_orbit(ambient: PermGroup, sub: PermGroup, clock=None):
-    """Walk the conjugation orbit of ``sub`` under the ambient generators.
+# cells of one index block of the conjugation-orbit walk: a chunk of
+# steps gathers at most this many base images, or conjugator entries,
+# unless one step alone needs more
+_WALK_CELLS = 1 << 15
 
-    Yields ``(key, v, first)`` for the start (v the identity) and for
-    every step sub^u -> sub^(u*g) of a depth-first walk: key is the
-    ``subgroup_key`` of sub^v, v the conjugator's image array and first
-    the array that first reached sub^v (v itself on a new conjugate).
-    Each popped conjugator u keys all its children u*g at once, with one
-    gather and one sort; the steps are still yielded, and ``clock``
-    ticked, one at a time.  Raises ``ValueError`` when sub is not inside
-    the ambient.
+
+class SubgroupOrbit(NamedTuple):
+    """The conjugation orbit of a subgroup under the ambient generators.
+
+    ``keys[i]`` is the ``subgroup_key`` of node i, in discovery order;
+    node 0 is the subgroup itself.  ``act[i, g]`` is the node that
+    ambient generator g sends node i to: sub^u -> sub^(u*g).  Nodes are
+    found in the row-major order of ``act``, so the first step into a
+    node (other than 0) comes from its parent in a breadth-first tree.
+    """
+
+    keys: list[bytes]
+    act: np.ndarray
+
+
+def subgroup_orbit(ambient: PermGroup, sub: PermGroup,
+                   clock=None) -> SubgroupOrbit:
+    """The conjugation orbit of ``sub`` under the ambient generators, as
+    a ``SubgroupOrbit`` table.
+
+    The walk is breadth-first, a layer at a time: the steps u -> u*g of
+    a layer's conjugators u are cut into chunks, and each chunk keys all
+    its children at once.  A child's key needs the base images of the
+    elements v^-1 s v of sub^v, v = u*g; their codes are one gather from
+    the child's code tables (its images times the keyer's weights),
+    summed over the base, and one sort (``key.of_codes``).  No index
+    block of a chunk exceeds ``_WALK_CELLS`` cells unless a single step
+    does.  ``clock`` is ticked once per chunk, after keying, with the
+    chunk's step count, so a node budget stops the walk at most one
+    chunk past it; a complete walk ticks orbit size x d.  Raises
+    ``ValueError`` when sub is not inside the ambient.
     """
     _check_inside(ambient, sub)
-    stack = FiniteGroup.from_permgroup(sub).rows
+    elems = FiniteGroup.from_permgroup(sub).rows
     base, key_of = _base_keyer(ambient)
-    n = ambient.degree
-    ident = np.arange(n, dtype=stack.dtype)
     gens, inverses = ambient.rows, _invert_rows(ambient.rows)
-    # child i's images sit at offset i * n of the flattened children
-    offsets = (np.arange(len(gens)) * n)[:, None]
-    key0 = key_of(stack[:, base])
-    first = {key0: ident}
-    yield key0, ident, ident
-    todo = [(ident, ident)]
-    while todo:
-        u, uinv = todo.pop()
-        # the children v = u * g, for every g: v applies u, then g, and
-        # v^-1 = g^-1 * u^-1
-        vs, vinvs = gens[:, u], uinv[inverses]
-        # the elements v^-1 s v of sub^v send B to v(s(v^-1(B))): every
-        # child's block in one flat gather, |H| x d x |B|
-        keys = key_of.many(vs.ravel()[stack[:, vinvs[:, base]] + offsets])
-        for v, vinv, key in zip(vs, vinvs, keys):
+    d, n = gens.shape
+    b, h = len(base), len(elems)
+    # s(x) for the elements s of sub is elems_t[x, s]; narrow rows keep
+    # the gather of whole rows below cheap
+    elems_t = np.ascontiguousarray(elems.T)
+    inv_base = inverses[:, base]
+    keys = [key_of(elems[:, base])]
+    node = {keys[0]: 0}
+    act = []
+    # the frontier's conjugators and their inverses
+    us = uinvs = np.arange(n, dtype=elems.dtype)[None]
+    per = max(1, _WALK_CELLS // (max(b, 1) * max(h, n)))
+    while len(us):
+        steps = len(us) * d
+        nxt, nxtinv = [us[:0]], [us[:0]]
+        for lo in range(0, steps, per):
+            u, g = np.divmod(np.arange(lo, min(lo + per, steps)), d)
+            m = len(u)
+            # the child v = u * g applies u, then g; v^-1 = g^-1 * u^-1
+            vs = gens.ravel()[us[u] + (g * n)[:, None]]
+            vinv_base = uinvs.ravel()[inv_base[g] + (u * n)[:, None]]
+            # s(v^-1(b_j)) for base point j, child i and element s, as an
+            # index into the children's |B| x m x n code tables
+            at = (elems_t[vinv_base.T]
+                  + (np.arange(b * m) * n).reshape(b, m, 1))
+            codes = np.empty((m, h, key_of.weights.shape[1]), np.int64)
+            for k, w in enumerate(key_of.weights.T):
+                codes[:, :, k] = np.multiply.outer(w, vs).ravel()[at].sum(0)
+            chunk = key_of.of_codes(codes)
             if clock is not None:
-                clock.tick()
-            known = first.get(key)
-            if known is None:
-                # copies: a row would keep its whole block alive
-                known = first[key] = v = v.copy()
-                todo.append((v, vinv.copy()))
-            yield key, v, known
+                clock.tick(m)
+            new = []
+            for j, key in enumerate(chunk):
+                i = node.get(key)
+                if i is None:
+                    i = node[key] = len(keys)
+                    keys.append(key)
+                    new.append(j)
+                act.append(i)
+            nxt.append(vs[new])
+            nxtinv.append(uinvs.ravel()[inverses[g[new]]
+                                        + (u[new] * n)[:, None]])
+        us, uinvs = np.concatenate(nxt), np.concatenate(nxtinv)
+    act = np.array(act, dtype=np.intp).reshape(len(keys), d)
+    return SubgroupOrbit(keys, act)
+
+
+class _StepsOver(Exception):
+    """A walk ran past its step budget."""
+
+
+class _StepBudget:
+    """A clock for ``subgroup_orbit`` that raises past ``limit`` steps."""
+
+    def __init__(self, limit: int):
+        self.limit, self.nodes = limit, 0
+
+    def tick(self, n: int = 1):
+        self.nodes += n
+        if self.nodes > self.limit:
+            raise _StepsOver
 
 
 def is_conjugate_subgroup(ambient: PermGroup, h1: PermGroup,
                           h2: PermGroup, *, budget: int = 100_000):
     """A conjugating element, or None, or UNKNOWN on budget exhaustion.
 
-    Walks the conjugation orbit of h1 (``subgroup_orbit``) looking for
-    the key of h2; ``budget`` caps the number of conjugation steps.
+    Walks the conjugation orbit of h1 (``subgroup_orbit``) and looks up
+    the key of h2; the witness is the conjugator along the walk's
+    breadth-first tree.  ``budget`` caps the number of conjugation steps:
+    a longer orbit gives UNKNOWN, its walk stopped within one chunk of
+    the cap.
     """
     _check_inside(ambient, h1)
     target = subgroup_key(ambient, h2)
     if h1.order() != h2.order():
         return None
-    for step, (key, w, first) in enumerate(subgroup_orbit(ambient, h1)):
-        if first is w and key == target:
-            # verify the witness for real, not just by key: w^-1 s w, for
-            # each generator s of h1, applies w^-1, then s, then w
-            winv = _invert_rows(w[None, :])[0]
-            if not h2._contains_rows(w[h1.rows[:, winv]]).all():
-                raise AssertionError("conjugate key mismatch")
-            return Permutation(w, _checked=True)
-        if step >= budget:
-            return UNKNOWN
-    return None
+    try:
+        orbit = subgroup_orbit(ambient, h1, _StepBudget(budget))
+    except _StepsOver:
+        return UNKNOWN
+    if target not in orbit.keys:
+        return None
+    gens = ambient.rows
+    d = len(gens)
+    # the first step into a node comes from its tree parent
+    path, i, flat = [], orbit.keys.index(target), orbit.act.ravel()
+    while i:
+        i, g = divmod(int(np.argmax(flat == i)), d)
+        path.append(g)
+    w = np.arange(ambient.degree, dtype=gens.dtype)
+    for g in reversed(path):
+        w = gens[g, w]
+    # verify the witness for real, not just by key: w^-1 s w, for each
+    # generator s of h1, applies w^-1, then s, then w
+    winv = _invert_rows(w[None, :])[0]
+    if not h2._contains_rows(w[h1.rows[:, winv]]).all():
+        raise AssertionError("conjugate key mismatch")
+    return Permutation(w, _checked=True)
 
 
 # ---------------------------------------------------------------------------

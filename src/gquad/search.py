@@ -36,6 +36,7 @@ from .groups import (
     FiniteGroup,
     PermGroup,
     Permutation,
+    _WALK_CELLS,
     _base_keyer,
     _invert_rows,
     element_closure,
@@ -118,30 +119,50 @@ def normaliser_gens(ambient: PermGroup, sub: PermGroup, *,
                     clock: "_Clock | None" = None) -> list[Permutation]:
     """Generators of the normaliser of ``sub`` in ``ambient``.
 
-    Walks the conjugation orbit of the subgroup under the ambient
-    generators and collects Schreier generators v * first^-1, which
-    together with the subgroup's own generators generate the full
-    normaliser.  Each conjugator first is inverted once, on the first
-    step that returns to its conjugate.
+    Walks the conjugation orbit of the subgroup (``subgroup_orbit``),
+    then replays it depth first over the table: pop a node u, visit its
+    children u*g in generator order and push each new one, whose first
+    conjugator is u's times g.  Every other step gives a Schreier
+    generator first(u) * g * first(u*g)^-1; these, formed a chunk at a
+    time in step order, together with the subgroup's own generators
+    generate the full normaliser.  Repeats and the identity are dropped.
     """
     if not sub.gens:
         return list(ambient.gens)
+    act = subgroup_orbit(ambient, sub, clock).act
+    gens = ambient.rows
+    d, n = gens.shape
+    first = np.empty((len(act), n), dtype=gens.dtype)
+    first[0] = np.arange(n)
+    reached = bytearray(len(act))
+    reached[0] = 1
+    rows, todo, back = act.tolist(), [0], []
+    while todo:
+        u = todo.pop()
+        for g, c in enumerate(rows[u]):
+            if reached[c]:
+                back.append(u * d + g)
+            else:
+                reached[c] = 1
+                first[c] = gens[g, first[u]]    # apply first(u), then g
+                todo.append(c)
+    finv, back = _invert_rows(first), np.array(back, dtype=np.intp)
     out: list[Permutation] = list(sub.gens)
-    ident = Permutation.identity(ambient.degree)
-    seen = {g.arr.tobytes() for g in (ident, *out)}
-    first_inv: dict[bytes, np.ndarray] = {}
-    for key, v, first in subgroup_orbit(ambient, sub, clock):
-        if first is v:
-            continue
-        finv = first_inv.get(key)
-        if finv is None:
-            finv = first_inv[key] = _invert_rows(first[None, :])[0]
-        # v * first^-1: apply v, then first^-1
-        s = finv[v]
-        b = s.tobytes()
-        if b not in seen:
-            seen.add(b)
-            out.append(Permutation(s, _checked=True))
+    seen = {g.arr.tobytes() for g in (Permutation.identity(n), *out)}
+    per = max(1, _WALK_CELLS // n)
+    row = np.dtype((np.void, gens.itemsize * n))
+    for lo in range(0, len(back), per):
+        steps = back[lo:lo + per]
+        u, g = np.divmod(steps, d)
+        # apply first(u), then g, then first(u*g)^-1
+        block = gens.ravel()[first[u] + (g * n)[:, None]]
+        block = finv.ravel()[block + (act.ravel()[steps] * n)[:, None]]
+        kept = []
+        for j, b in enumerate(block.view(row).ravel().tolist()):
+            if b not in seen:
+                seen.add(b)
+                kept.append(j)
+        out += Permutation._from_rows(block[kept])
     return out
 
 
@@ -350,8 +371,9 @@ def _fuse(ambient: PermGroup, keyed: list[tuple[bytes, PermGroup]],
 
     ``keyed`` holds (subgroup key, group) pairs.  The first group of
     each class, in input order, is kept; its conjugation orbit is walked
-    once, and a later group is a conjugate exactly when its key lies in
-    a kept group's orbit.
+    once (``subgroup_orbit``) and the table's key set kept, and a later
+    group is a conjugate exactly when its key lies in a kept group's
+    orbit.
     """
     reps: list[PermGroup] = []
     orbits: list[set] = []
@@ -359,7 +381,7 @@ def _fuse(ambient: PermGroup, keyed: list[tuple[bytes, PermGroup]],
     for key, s in keyed:
         if key in seen:
             continue
-        orbit = {k for k, _, _ in subgroup_orbit(ambient, s, clock)}
+        orbit = set(subgroup_orbit(ambient, s, clock).keys)
         seen |= orbit
         reps.append(s)
         orbits.append(orbit)

@@ -572,6 +572,21 @@ def test_gu513_lines_are_closed_under_the_group():
     assert len(set(gq.lines)) == gq.n_lines
 
 
+def test_second_gu513_build_reuses_the_field_tables(monkeypatch):
+    group, gq = build_gu513()
+    exp, log = GF.default(1 << 18).exp_log_char2()
+    assert not exp.flags.writeable and not log.flags.writeable
+
+    def rebuilt(self):
+        raise AssertionError("GF(2^18) exp/log tables built again")
+
+    monkeypatch.setattr(GF, "_build_exp_log_char2", rebuilt)
+    again, gq_again = build_gu513()
+    assert (again.rows == group.rows).all()
+    assert gq_again.lines == gq.lines and gq_again.labels == gq.labels
+    assert GF.default(1 << 18).exp_log_char2()[0] is exp
+
+
 # -- the Sylow exponent check ------------------------------------------------
 
 def test_sylow_exponent():

@@ -381,8 +381,7 @@ def descend_oracle(sylow, target, p, clock, ambient):
                 reps, seen = [], set()
                 for m in nxt:
                     if subgroup_key(ambient, m) not in seen:
-                        seen |= {k for k, _, _ in
-                                 subgroup_orbit(ambient, m, clock)}
+                        seen |= set(subgroup_orbit(ambient, m, clock).keys)
                         reps.append(m)
                 nxt = reps
             layer = nxt

@@ -4,14 +4,19 @@
 base-image key: the element rows of a subgroup, sorted and deduplicated
 by ``np.unique(axis=0)``.  It is kept here only, as the oracle for
 subgroup equality.  ``orbit_oracle`` and ``normaliser_oracle`` are the
-former walk over Permutation objects, one product per step, and the
-Schreier generators formed from it.  Normalisers and conjugacy are also
+former walk over Permutation objects, one product per step in depth-first
+order, and the Schreier generators formed from it; ``replay`` reads the
+same steps off the walk's table.  Normalisers and conjugacy are also
 checked by brute force over every ambient element.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
+import gquad.groups
+import gquad.search
 from gquad.constructions import (
     action_from_linear,
     ambient_stabiliser,
@@ -36,13 +41,16 @@ from gquad.search import (
     SearchBudget,
     _BudgetHit,
     _Clock,
+    _fuse,
     normaliser_gens,
 )
 
 
 def orbit_oracle(ambient: PermGroup, sub: PermGroup):
     """The former walk: conjugators as Permutations, one product u * g
-    per step, yielding (key, v, first) as ``subgroup_orbit`` does."""
+    per step, depth first, yielding (key, v, first) for the start and
+    each step; first is the conjugator that first reached the key (v
+    itself on a new conjugate)."""
     stack = np.stack([e.arr for e in sub.elements()])
     base, key_of = _base_keyer(ambient)
     ident = Permutation.identity(ambient.degree)
@@ -79,6 +87,31 @@ def normaliser_oracle(ambient: PermGroup, sub: PermGroup):
             seen.add(b)
             out.append(s)
     return out
+
+
+def replay(ambient: PermGroup, orbit):
+    """The steps of ``orbit_oracle``, read off the walk's table: pop a
+    node, visit its children in generator order and push each new one.
+    Yields (key, v, first) with Permutation conjugators, first being v
+    itself on a new node."""
+    ident = Permutation.identity(ambient.degree)
+    first = {0: ident}
+    yield orbit.keys[0], ident, ident
+    todo = [0]
+    while todo:
+        u = todo.pop()
+        for g, c in zip(ambient.gens, orbit.act[u].tolist()):
+            v = first[u] * g
+            if c not in first:
+                first[c] = v
+                todo.append(c)
+            yield orbit.keys[c], v, first[c]
+
+
+def _steps(ambient: PermGroup, sub: PermGroup, count: int):
+    """The first ``count`` replayed steps of sub's walk."""
+    return list(itertools.islice(
+        replay(ambient, subgroup_orbit(ambient, sub)), count))
 
 
 def oracle_form(group: PermGroup) -> bytes:
@@ -144,10 +177,8 @@ def test_base_image_key_agrees_with_oracle(setting, request):
     # generators: equal groups must get equal keys
     assert subgroup_key(amb, e) in [key for key, _ in pairs[:-2]]
     for h in subs:
-        for step, (key, v, _) in enumerate(subgroup_orbit(amb, h)):
-            if step == 8:
-                break
-            pairs.append((key, oracle_form(_conjugate(h, Permutation(v)))))
+        for key, v, _ in _steps(amb, h, 8):
+            pairs.append((key, oracle_form(_conjugate(h, v))))
     _assert_bijection(pairs)
     assert len({key for key, _ in pairs}) > len(subs) // 2
 
@@ -167,10 +198,8 @@ def test_key_stays_exact_with_several_codes_per_row(pairs, degree):
                            [(0, 2, 4), (1, 3, 5)])]
     found = []
     for h in subs:
-        for step, (key, v, _) in enumerate(subgroup_orbit(amb, h)):
-            if step == 40:
-                break
-            found.append((key, oracle_form(_conjugate(h, Permutation(v)))))
+        for key, v, _ in _steps(amb, h, 40):
+            found.append((key, oracle_form(_conjugate(h, v))))
     _assert_bijection(found)
 
 
@@ -190,16 +219,20 @@ def _brute_normaliser_order(amb: PermGroup, h: PermGroup) -> int:
 
 @pytest.mark.parametrize("setting", ["q2", "q3"])
 def test_array_walk_matches_object_oracle(setting, request):
-    # the same steps with the same keys and conjugators, new conjugates
-    # at the same steps, and the same Schreier generators in order
+    # the table's steps, replayed in the former order, have the oracle's
+    # keys and conjugators, with new conjugates at the same steps, and
+    # the same Schreier generators come out in order
     amb, e, t, subs = request.getfixturevalue(setting)
     for h in subs:
-        got = list(subgroup_orbit(amb, h))
+        orbit = subgroup_orbit(amb, h)
+        assert orbit.act.shape == (len(orbit.keys), len(amb.gens))
+        assert len(set(orbit.keys)) == len(orbit.keys)
+        got = list(replay(amb, orbit))
         want = list(orbit_oracle(amb, h))
-        assert len(got) == len(want)
+        assert len(got) == len(want) == 1 + orbit.act.size
         for (key, v, first), (okey, ov, ofirst) in zip(got, want):
             assert key == okey
-            assert (v == ov.arr).all() and (first == ofirst.arr).all()
+            assert v == ov and first == ofirst
             assert (first is v) == (ofirst is ov)
         assert normaliser_gens(amb, h) == normaliser_oracle(amb, h)
 
@@ -239,6 +272,31 @@ def test_is_conjugate_subgroup_matches_brute_force_q2(q2):
     assert proper_pairs > 0
 
 
+def test_is_conjugate_subgroup_witness_deep_in_the_orbit(q3):
+    # conjugates by words of several generators lie several layers deep
+    # in the walk, so the witness is a product along the tree
+    amb, e, t, subs = q3
+    rng = np.random.default_rng(3)
+    depths = set()
+    for h in subs:
+        orbit = subgroup_orbit(amb, h)
+        for _ in range(4):
+            x = Permutation.identity(amb.degree)
+            for g in rng.integers(0, len(amb.gens), size=6).tolist():
+                x = x * amb.gens[g]
+            target = _conjugate(h, x)
+            w = is_conjugate_subgroup(amb, h, target)
+            assert oracle_form(_conjugate(h, w)) == oracle_form(target)
+            node = orbit.keys.index(subgroup_key(amb, target))
+            depth = 0
+            while node:
+                node = int(np.argmax(orbit.act.ravel() == node)) // len(
+                    amb.gens)
+                depth += 1
+            depths.add(depth)
+    assert max(depths) >= 3
+
+
 def test_walk_rejects_subgroup_outside_ambient(q2):
     amb, e, t, subs = q2
     outside = next(Permutation.from_cycles(amb.degree, [(0, x)])
@@ -247,7 +305,7 @@ def test_walk_rejects_subgroup_outside_ambient(q2):
                        Permutation.from_cycles(amb.degree, [(0, x)])))
     bad = PermGroup(amb.degree, [outside])
     with pytest.raises(ValueError):
-        next(subgroup_orbit(amb, bad))
+        subgroup_orbit(amb, bad)
     with pytest.raises(ValueError):
         subgroup_key(amb, bad)
     with pytest.raises(ValueError):
@@ -264,11 +322,10 @@ def test_walk_ticks_the_callers_clock(q3):
 
 def test_walk_with_no_generators_yields_only_the_start():
     amb = PermGroup(6, [])
-    got = list(subgroup_orbit(amb, PermGroup(6, [])))
-    assert len(got) == 1
-    key, v, first = got[0]
-    assert first is v and (v == np.arange(6)).all()
-    assert key == subgroup_key(amb, PermGroup(6, []))
+    orbit = subgroup_orbit(amb, PermGroup(6, []))
+    assert orbit.keys == [subgroup_key(amb, PermGroup(6, []))]
+    assert orbit.act.shape == (1, 0)
+    assert len(list(replay(amb, orbit))) == 1
 
 
 @pytest.mark.parametrize("cycles", [[(0, 1, 2, 3, 4, 5)],
@@ -277,13 +334,15 @@ def test_walk_with_one_generator_matches_object_oracle(cycles):
     g = Permutation.from_cycles(6, cycles)
     amb = PermGroup(6, [g])
     for h in (amb, PermGroup(6, [g * g]), PermGroup(6, [])):
-        got = list(subgroup_orbit(amb, h))
-        want = list(orbit_oracle(amb, h))
+        orbit = subgroup_orbit(amb, h)
         # an abelian ambient normalises every subgroup: the start, then
         # one step back to it
+        assert orbit.act.tolist() == [[0]]
+        got = list(replay(amb, orbit))
+        want = list(orbit_oracle(amb, h))
         assert len(got) == len(want) == 2
         for (key, v, first), (okey, ov, ofirst) in zip(got, want):
-            assert key == okey and (v == ov.arr).all()
+            assert key == okey and v == ov
             assert (first is v) == (ofirst is ov)
 
 
@@ -301,39 +360,123 @@ def _wreath(pairs: int, degree: int) -> PermGroup:
 def test_many_block_keys_equal_single_block_keys(pairs, degree, chunks):
     amb = _wreath(pairs, degree)
     base, key_of = _base_keyer(amb)
-    width = 63 // degree.bit_length()
-    assert max(1, -(-len(base) // width)) == chunks
+    assert key_of.weights.shape == (len(base), chunks)
     rng = np.random.default_rng(degree)
     for rows, d, top in ((12, 5, 2), (12, 5, degree), (1, 3, degree),
                          (7, 1, 3), (7, 0, degree)):
         # few distinct values force ties in the leading code of a row
-        blocks = rng.integers(0, top, size=(rows, d, len(base)))
+        blocks = rng.integers(0, top, size=(d, rows, len(base)))
         blocks = blocks.astype(np.uint16 if degree > 256 else np.uint8)
-        keys = key_of.many(blocks)
-        assert keys == [key_of(blocks[:, i]) for i in range(d)]
+        keys = key_of.of_codes(blocks.astype(np.int64) @ key_of.weights)
+        assert keys == [key_of(block) for block in blocks]
+
+
+def _wreath_subgroups(degree: int) -> list[PermGroup]:
+    """The subgroups of the several-codes test."""
+    return [PermGroup(degree, [Permutation.from_cycles(degree, cycles)])
+            for cycles in ([(0, 1), (2, 3)], [(0, 1)], [(0, 2), (1, 3)],
+                           [(0, 2, 4), (1, 3, 5)])]
+
+
+def _one_conjugator_cells(amb: PermGroup, h: PermGroup) -> int:
+    """A walk cap whose chunks hold exactly one conjugator's d steps."""
+    return len(amb.gens) * len(amb.base()) * max(h.order(), amb.degree)
+
+
+def _walk_outputs(amb, subs):
+    orbits = [subgroup_orbit(amb, h) for h in subs]
+    normalisers = [normaliser_gens(amb, h) for h in subs]
+    reps, fused = _fuse(amb, [(subgroup_key(amb, h), h) for h in subs],
+                        _Clock(None))
+    return ([(o.keys, o.act.tolist()) for o in orbits], normalisers,
+            [subs.index(r) for r in reps], fused)
+
+
+@pytest.mark.parametrize("setting", ["q2", "q3", "wreath-16-32",
+                                     "wreath-8-512"])
+@pytest.mark.parametrize("chunk", ["step", "conjugator"])
+def test_walk_does_not_depend_on_chunk_size(setting, chunk, request,
+                                            monkeypatch):
+    # keys in the same order, the same act table, normaliser generators
+    # and fused representatives, whether a chunk holds one step, one
+    # conjugator's steps or as many as the default cap allows
+    if setting.startswith("wreath"):
+        _, pairs, degree = setting.split("-")
+        amb = _wreath(int(pairs), int(degree))
+        subs = _wreath_subgroups(int(degree))
+        assert _base_keyer(amb)[1].weights.shape[1] == 2
+    else:
+        amb, e, t, subs = request.getfixturevalue(setting)
+    want = _walk_outputs(amb, subs)
+    if chunk == "step":
+        cells = [1] * len(subs)
+    else:
+        cells = [_one_conjugator_cells(amb, h) for h in subs]
+    got = ([], [])
+    for h, c in zip(subs, cells):
+        monkeypatch.setattr(gquad.groups, "_WALK_CELLS", c)
+        monkeypatch.setattr(gquad.search, "_WALK_CELLS", c)
+        orbit, normaliser = _walk_outputs(amb, [h])[:2]
+        got[0].extend(orbit)
+        got[1].extend(normaliser)
+    assert got == want[:2]
+    # one cap for the whole fusion: at most one conjugator per chunk
+    monkeypatch.setattr(gquad.groups, "_WALK_CELLS", min(cells))
+    assert _walk_outputs(amb, subs)[2:] == want[2:]
 
 
 def _long_walk(q3):
     amb, e, t, subs = q3
     # the subgroup with the longest conjugation orbit walk
-    return max(subs, key=lambda h: sum(1 for _ in subgroup_orbit(amb, h)))
+    return max(subs, key=lambda h: len(subgroup_orbit(amb, h).keys))
+
+
+def _count_keyed_steps(monkeypatch) -> list[int]:
+    """Make the walk record the number of steps of each chunk it keys."""
+    keyed = []
+    real = gquad.groups._base_keyer
+
+    def counting(ambient):
+        base, key = real(ambient)
+        of_codes = key.of_codes
+
+        def counted(codes):
+            keyed.append(len(codes))
+            return of_codes(codes)
+
+        key.of_codes = counted
+        return base, key
+
+    monkeypatch.setattr(gquad.groups, "_base_keyer", counting)
+    return keyed
 
 
 @pytest.mark.parametrize("extra", [1, 5])
-def test_node_budget_stops_the_walk_mid_node(q3, extra):
+def test_node_budget_stops_the_walk_mid_node(q3, extra, monkeypatch):
     amb, e, t, subs = q3
     h = _long_walk(q3)
     d = len(amb.gens)
-    full = [key for key, _, _ in subgroup_orbit(amb, h)]
+    full = subgroup_orbit(amb, h)
+    steps = len(full.keys) * d
+    clock = _Clock(None)
+    assert subgroup_orbit(amb, h, clock).keys == full.keys
+    assert clock.nodes == steps
+    # chunks of 4 steps, so the budget runs out inside a chunk
+    per = 4
+    monkeypatch.setattr(gquad.groups, "_WALK_CELLS",
+                        _one_conjugator_cells(amb, h) * per // d)
+    keyed = _count_keyed_steps(monkeypatch)
     nodes = 2 * d + extra       # not a multiple of the children per node
-    assert len(full) > nodes + 1
+    assert steps > nodes + per
     clock = _Clock(SearchBudget(nodes=nodes))
-    got = []
     with pytest.raises(_BudgetHit):
-        for key, _, _ in subgroup_orbit(amb, h, clock):
-            got.append(key)
-    # the start and one step per node of budget; the next tick raises
-    assert clock.nodes == nodes + 1
-    assert got == full[:nodes + 1]
-    clock = _Clock(SearchBudget(nodes=len(full) - 1))
-    assert [key for key, _, _ in subgroup_orbit(amb, h, clock)] == full
+        subgroup_orbit(amb, h, clock)
+    # every step keyed is ticked, and the walk stops at most one chunk
+    # past the budget
+    assert max(keyed) == per
+    assert clock.nodes == sum(keyed)
+    assert nodes < clock.nodes <= nodes + per
+    keyed.clear()
+    clock = _Clock(SearchBudget(nodes=steps))
+    assert subgroup_orbit(amb, h, clock).keys == full.keys
+    assert clock.nodes == sum(keyed) == steps
